@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 
 #include "spotbid/spotbid.hpp"
 
@@ -18,6 +19,13 @@ struct GridCase {
   std::string type;
   double recovery_s;
 };
+
+// Printed into the test names (`# GetParam() = r3.xlarge t_r=10`); without
+// it gtest dumps the object's raw bytes, pointers included, so the names
+// would change from run to run.
+void PrintTo(const GridCase& c, std::ostream* os) {
+  *os << c.type << " t_r=" << c.recovery_s;
+}
 
 std::string case_name(const ::testing::TestParamInfo<GridCase>& info) {
   std::string name = info.param.type + "_tr" + std::to_string(static_cast<int>(info.param.recovery_s));
