@@ -36,6 +36,8 @@ class EquilibriumPriceDistribution final : public dist::Distribution {
   [[nodiscard]] double cdf_left(double x) const override;
   [[nodiscard]] double quantile(double q) const override;
   [[nodiscard]] double sample(numeric::Rng& rng) const override;
+  /// Moments integrate the quantile function on every call (no cache:
+  /// one distribution is shared read-only across threads).
   [[nodiscard]] double mean() const override;
   [[nodiscard]] double variance() const override;
   [[nodiscard]] double support_lo() const override { return lo_; }
@@ -57,8 +59,6 @@ class EquilibriumPriceDistribution final : public dist::Distribution {
   double lo_ = 0.0;    ///< smallest attainable price (floor or h(Lambda_lo))
   double hi_ = 0.0;    ///< essential supremum (h of arrival support hi, <= pi_bar/2)
   double atom_ = 0.0;  ///< mass at the floor
-  double mean_ = 0.0;
-  double var_ = 0.0;
 };
 
 }  // namespace spotbid::provider

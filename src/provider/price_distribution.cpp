@@ -21,18 +21,6 @@ EquilibriumPriceDistribution::EquilibriumPriceDistribution(ProviderModel model,
   double lambda_hi = arrivals_->support_hi();
   if (!std::isfinite(lambda_hi)) lambda_hi = arrivals_->quantile(1.0 - 1e-13);
   hi_ = model_.equilibrium_price(lambda_hi).usd();
-
-  // Moments via the quantile representation E[g(X)] = int_0^1 g(Q(u)) du —
-  // exact for the atom and insensitive to the near-vertical density at hi_.
-  const auto q = [this](double u) { return quantile(std::clamp(u, 0.0, 1.0)); };
-  mean_ = numeric::adaptive_simpson(q, 0.0, 1.0, 1e-12);
-  const double m = mean_;
-  var_ = numeric::adaptive_simpson(
-      [&](double u) {
-        const double x = q(u);
-        return (x - m) * (x - m);
-      },
-      0.0, 1.0, 1e-12);
 }
 
 double EquilibriumPriceDistribution::pdf(double x) const {
@@ -74,9 +62,25 @@ double EquilibriumPriceDistribution::sample(numeric::Rng& rng) const {
   return model_.equilibrium_price(std::max(arrivals_->sample(rng), 0.0)).usd();
 }
 
-double EquilibriumPriceDistribution::mean() const { return mean_; }
+// Moments via the quantile representation E[g(X)] = int_0^1 g(Q(u)) du —
+// exact for the atom and insensitive to the near-vertical density at hi_.
+// Computed on call rather than at construction: only tests and the
+// collective/section-8 drivers read them, and a lazily filled cache would
+// race across the workers that share one snapshot.
+double EquilibriumPriceDistribution::mean() const {
+  return numeric::adaptive_simpson(
+      [this](double u) { return quantile(std::clamp(u, 0.0, 1.0)); }, 0.0, 1.0, 1e-12);
+}
 
-double EquilibriumPriceDistribution::variance() const { return var_; }
+double EquilibriumPriceDistribution::variance() const {
+  const double m = mean();
+  return numeric::adaptive_simpson(
+      [&](double u) {
+        const double x = quantile(std::clamp(u, 0.0, 1.0));
+        return (x - m) * (x - m);
+      },
+      0.0, 1.0, 1e-12);
+}
 
 double EquilibriumPriceDistribution::partial_expectation(double p) const {
   SPOTBID_REQUIRE_NOT_NAN(p, "EquilibriumPriceDistribution::partial_expectation: p");
