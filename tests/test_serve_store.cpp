@@ -131,17 +131,22 @@ TEST(SnapshotStore, ConcurrentReadersDuringPublishes) {
   // Readers spin on find() while the main thread republishes new epochs and
   // inserts fresh keys; every resolved snapshot must be coherent (key
   // matches, epoch stamped). Run under TSan this exercises the epoch-swap
-  // and copy-on-write publication paths.
+  // and copy-on-write publication paths. Publishing starts only once every
+  // reader has resolved the key once, so the publishes cannot all finish
+  // before the readers run.
+  constexpr int kReaders = 4;
   SnapshotStore store{4};
   const std::string hot_key = make_key("us-east-1", "r3.xlarge");
   store.publish(analytic_snapshot(hot_key));
 
   std::atomic<bool> stop{false};
+  std::atomic<int> readers_started{0};
   std::atomic<std::uint64_t> observed_max{0};
   std::vector<std::thread> readers;
-  readers.reserve(4);
-  for (int t = 0; t < 4; ++t) {
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
+      bool started = false;
       while (!stop.load(std::memory_order_relaxed)) {
         const auto snapshot = store.find(hot_key);
         ASSERT_NE(snapshot, nullptr);
@@ -152,9 +157,14 @@ TEST(SnapshotStore, ConcurrentReadersDuringPublishes) {
         while (prev < epoch &&
                !observed_max.compare_exchange_weak(prev, epoch, std::memory_order_relaxed)) {
         }
+        if (!started) {
+          started = true;
+          readers_started.fetch_add(1);
+        }
       }
     });
   }
+  while (readers_started.load() < kReaders) std::this_thread::yield();
 
   for (int i = 0; i < 200; ++i) {
     store.publish(analytic_snapshot(hot_key));
