@@ -22,35 +22,13 @@
 /// interruption) live in spotbid::client and spotbid::mapreduce; the market
 /// only manages request lifecycles and billing.
 ///
-/// ## Engine: sorted-by-bid bands over structure-of-arrays state
+/// ## Engine
 ///
-/// The paper's trace analysis (and the generator's calibrated persistence,
-/// ~0.9 for the Figure-5 types) says prices are sticky: most slots the spot
-/// price does not move. The engine exploits that structure instead of
-/// walking every request every slot:
-///
-///  - per-request state lives in parallel arrays indexed by RequestId (bid
-///    price, lifecycle state, kind, accrued cost, slot tallies, ...);
-///  - active requests are additionally kept in a band: a vector of
-///    (bid, id) entries sorted by bid price. After every slot the market
-///    invariant is "running <=> bid >= current price", so a price move from
-///    p0 to p1 affects exactly the contiguous band range [min(p0,p1),
-///    max(p0,p1)) found by binary search — an upward move interrupts (or
-///    terminates) that range, a downward move re-admits it;
-///  - billing is lazy: the price path is stored as "spells" (start slot,
-///    per-slot charge). A running request remembers the slot its current
-///    run segment started at, and settlement replays the oracle's per-slot
-///    `cost += price * t_k` fold over the spells when the request is next
-///    observed (status/interrupt/close/teardown). The replay performs the
-///    same additions in the same order as the per-object oracle, so the
-///    accrued cost is bit-identical, not just close;
-///  - slots where the price does not move and nothing was submitted cost
-///    O(1): one price compare.
-///
-/// `market::ReferenceMarket` (reference_market.hpp) is the original
-/// per-object engine, kept as the bit-identity oracle; `bench_market` and
-/// tests/test_market_soa.cpp pin this engine against it bit-for-bit on
-/// costs, event ordering, and the deterministic metrics snapshot.
+/// One RequestStatus per bid, and advance() visits every request once
+/// per slot in id order. Every caller holds a book of a handful of bids
+/// (one job, a MapReduce master and its slaves, a DAG's ready tasks), so
+/// the straight-line state machine is also the fast one; its billing is
+/// pinned independently by the MarketOracle property tests.
 
 #include <cstdint>
 #include <memory>
@@ -119,16 +97,14 @@ struct SlotReport {
   std::vector<Event> events;
 };
 
-/// Observability: each market batches its per-slot metrics locally
-/// (`market.slots`, `market.spot_price_usd`) and merges them into
+/// Observability: each market batches its per-slot price histogram
+/// locally (`market.slots`, `market.spot_price_usd`) and merges it into
 /// metrics::Registry::global() when it is destroyed; request-lifecycle
 /// metrics (`market.launches`, `market.interruptions`,
 /// `market.terminations`, `market.closes`, `market.revenue_usd`, ...) are
-/// tallied when a request reaches a final state (or at market teardown)
-/// into per-market CounterBatch/SumBatch shards, flushed at destruction.
+/// recorded when a request reaches a final state (or at market teardown).
 /// All of them are integers or fixed-point sums, so parallel replicas merge
-/// deterministically — see docs/METRICS.md for the full catalogue,
-/// including the SoA band telemetry under `market.band.*`.
+/// deterministically — see docs/METRICS.md for the full catalogue.
 class SpotMarket {
  public:
   explicit SpotMarket(std::unique_ptr<PriceSource> source);
@@ -136,7 +112,7 @@ class SpotMarket {
   SpotMarket(SpotMarket&&) noexcept;
   SpotMarket& operator=(SpotMarket&&) noexcept;
 
-  /// Flushes the metric batches and records requests still open (their
+  /// Flushes the price histogram and records requests still open (their
   /// lifecycle tallies would otherwise be lost with the market).
   ~SpotMarket();
 
@@ -164,14 +140,11 @@ class SpotMarket {
   void close(RequestId id);
 
   /// Simulate one slot and return what happened. Events are reported in
-  /// ascending request-id order, exactly like the per-object oracle.
+  /// ascending request-id order.
   SlotReport advance();
 
-  /// Simulate `n` slots, discarding per-slot reports.
-  void advance_many(int n);
-
-  /// Settled view of one request. The returned reference stays valid until
-  /// the next submit() (vector growth), like the per-object engine.
+  /// Current view of one request. The returned reference stays valid until
+  /// the next submit() (vector growth).
   [[nodiscard]] const RequestStatus& status(RequestId id) const;
   [[nodiscard]] const std::vector<Event>& event_log() const { return events_; }
 
@@ -179,132 +152,25 @@ class SpotMarket {
   [[nodiscard]] bool is_final(RequestId id) const;
 
  private:
-  /// One constant-price stretch of the simulated price path. `charge_usd`
-  /// is (price * t_k) computed once when the spell opens; settlement
-  /// replays it per slot so costs fold exactly like the oracle's.
-  struct Spell {
-    SlotIndex start = 0;
-    double charge_usd = 0.0;
-  };
-
-  /// Band entry: active requests sorted by (bid, id). Entries whose
-  /// request has reached a final state are skipped (and compacted away
-  /// once they dominate the band).
-  struct BandEntry {
-    double bid_usd = 0.0;
-    RequestId id = 0;
-  };
-
-  /// Band order: by bid price, ties by request id. Ids are unique, so this
-  /// is a strict total order and equal-bid clusters keep submission order.
-  [[nodiscard]] static bool band_less(const BandEntry& a, const BandEntry& b);
-
-  /// First entry of a sorted run with bid >= price_usd.
-  [[nodiscard]] static std::vector<BandEntry>::iterator run_lower_bound(
-      std::vector<BandEntry>& run, double price_usd);
-
-  /// Memoized settlement fold (see settle_running): the replayed
-  /// accumulation from an exact-zero accumulator is a pure function of
-  /// (segment start slot, starting spell, upto), so requests launched at
-  /// the same slot share one replay. Entries are valid for a single
-  /// `fold_cache_upto_` epoch; spell_in doubles as the occupancy marker.
-  struct FoldCacheEntry {
-    std::uint32_t spell_in = 0xFFFFFFFFu;
-    std::uint32_t spell_out = 0;
-    double acc_out = 0.0;
-  };
-
-  /// Replay the per-slot billing fold over `spells_` for the open running
-  /// segment of `id`, up to (excluding) slot `upto`.
-  void settle_running(RequestId id, SlotIndex upto) const;
-  /// Account the open pending segment of `id` up to (excluding) `upto`.
-  void settle_pending(RequestId id, SlotIndex upto) const;
-  /// Bring `id`'s tallies up to next_slot_ (no-op for submitted/final).
-  void settle(RequestId id) const;
-  /// Refresh the cold RequestStatus cache row for `id` from the arrays.
-  void materialize(RequestId id) const;
-
-  /// Merge a request's lifecycle tallies into the per-market batch shards;
-  /// called exactly once per request, when it reaches a final state (or
-  /// from the destructor when it never does). The request must be settled.
-  void record_final_metrics(RequestId id, bool resolved);
-
-  /// Drop final-state entries once they dominate the band runs.
-  void maybe_compact();
-
-  /// Merge the fresh run into the main band (geometric promotion: called
-  /// once the fresh run has grown to the main band's size, so the total
-  /// merge work stays O(n log n) over any submission schedule).
-  void promote_fresh();
+  /// Merge a request's lifecycle tallies into the global registry; called
+  /// exactly once per request, when it reaches a final state (or from the
+  /// destructor when it never does).
+  void record_request_metrics(const RequestStatus& request, bool resolved);
 
   std::unique_ptr<PriceSource> source_;
-
-  // --- structure-of-arrays request state, indexed by RequestId ----------
-  std::vector<double> bid_usd_;
-  std::vector<BidKind> kind_;
-  std::vector<RequestState> state_;
-  std::vector<int> launches_;
-  std::vector<int> interruptions_;
-  std::vector<SlotIndex> submitted_slot_;
-  std::vector<SlotIndex> closed_slot_;
-  // Lazily settled tallies (mutable: settlement runs from const status()).
-  mutable std::vector<double> acc_usd_;
-  mutable std::vector<long> running_slots_;
-  mutable std::vector<long> pending_slots_;
-  /// Slot the open running/pending segment started at (== settled-up-to).
-  mutable std::vector<SlotIndex> seg_start_;
-  /// Index into spells_ of the spell containing seg_start_ (running only).
-  mutable std::vector<std::uint32_t> settle_spell_;
-  /// Cold per-request view handed out by status(); refreshed on demand.
-  mutable std::vector<RequestStatus> requests_;
-
-  // The bid book as two sorted-by-(bid, id) runs: a large, mostly stable
-  // main band and a small fresh run absorbing recent submissions. Price
-  // sweeps binary-search each run independently; per-slot merges only ever
-  // touch the fresh run, which is promoted into the main band when it
-  // catches up in size (LSM-style, so churn-heavy schedules don't pay an
-  // O(band) merge per slot).
-  std::vector<BandEntry> band_;    ///< main run
-  std::vector<BandEntry> fresh_;   ///< recently submitted run
-  std::vector<RequestId> staged_;  ///< submitted since the last advance()
-  std::size_t stale_ = 0;          ///< final-state entries still in the runs
-  std::vector<Spell> spells_;      ///< price path as constant-price spells
-  // Settlement fold memo, one slot of entries per epoch (see settle_running).
-  mutable std::vector<FoldCacheEntry> fold_cache_;
-  mutable SlotIndex fold_cache_upto_ = -1;
-
+  std::vector<RequestStatus> requests_;
   std::vector<Event> events_;
   SlotIndex next_slot_ = 0;
   Money current_price_{};
   bool has_price_ = false;
   // Local shard of the slot-weighted price histogram. Spot prices are
   // sticky, so instead of per-slot observations the market records one
-  // "spell" (price, run length) whenever the price changes — the hot loop
-  // pays a single compare against current_price_, which advance() loads
-  // anyway. spell_start_ is the slot the current spell began at; the
-  // destructor flushes the open spell and derives market.slots from the
-  // batch. Moved-from markets are left with an empty batch, so a slot is
-  // never counted twice.
+  // "spell" (price, run length) whenever the price changes. spell_start_
+  // is the slot the current spell began at; the destructor flushes the
+  // open spell and derives market.slots from the batch. Moved-from markets
+  // are left with an empty batch, so a slot is never counted twice.
   metrics::HistogramBatch price_batch_;
   SlotIndex spell_start_ = 0;
-
-  // Per-market lifecycle shards (docs/METRICS.md `market.*`), flushed by
-  // the member destructors after the market's own destructor body ran.
-  metrics::CounterBatch bids_submitted_batch_;
-  metrics::CounterBatch launches_batch_;
-  metrics::CounterBatch interruptions_batch_;
-  metrics::CounterBatch terminations_batch_;
-  metrics::CounterBatch closes_batch_;
-  metrics::CounterBatch unresolved_batch_;
-  metrics::CounterBatch running_slots_batch_;
-  metrics::CounterBatch pending_slots_batch_;
-  metrics::SumBatch revenue_batch_;
-  // SoA band telemetry (`market.band.*`); settlements fire from const
-  // settlement paths, hence mutable.
-  metrics::CounterBatch band_moves_batch_;
-  metrics::CounterBatch band_scanned_batch_;
-  mutable metrics::CounterBatch band_settlements_batch_;
-  metrics::CounterBatch band_compactions_batch_;
 };
 
 }  // namespace spotbid::market

@@ -1,36 +1,51 @@
 #include "spotbid/market/spot_market.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "spotbid/core/contracts.hpp"
 #include "spotbid/core/metrics.hpp"
-#include "spotbid/market/market_metrics.hpp"
 
 namespace spotbid::market {
+namespace {
 
-bool SpotMarket::band_less(const BandEntry& a, const BandEntry& b) {
-  if (a.bid_usd != b.bid_usd) return a.bid_usd < b.bid_usd;
-  return a.id < b.id;
+/// `market.*` registry references, resolved once per process (registration
+/// takes a mutex; recording through the cached references is lock-free).
+struct MarketMetrics {
+  metrics::Counter& slots;
+  metrics::Histogram& spot_price_usd;
+  metrics::Counter& bids_submitted;
+  metrics::Counter& launches;
+  metrics::Counter& interruptions;
+  metrics::Counter& terminations;
+  metrics::Counter& closes;
+  metrics::Counter& requests_unresolved;
+  metrics::Counter& running_slot_total;
+  metrics::Counter& pending_slot_total;
+  metrics::Sum& revenue_usd;
+};
+
+MarketMetrics& mm() {
+  static MarketMetrics m{
+      metrics::Registry::global().counter("market.slots"),
+      metrics::Registry::global().histogram("market.spot_price_usd",
+                                            metrics::kPriceBoundsUsd),
+      metrics::Registry::global().counter("market.bids_submitted"),
+      metrics::Registry::global().counter("market.launches"),
+      metrics::Registry::global().counter("market.interruptions"),
+      metrics::Registry::global().counter("market.terminations"),
+      metrics::Registry::global().counter("market.closes"),
+      metrics::Registry::global().counter("market.requests_unresolved"),
+      metrics::Registry::global().counter("market.running_slot_total"),
+      metrics::Registry::global().counter("market.pending_slot_total"),
+      metrics::Registry::global().sum("market.revenue_usd"),
+  };
+  return m;
 }
 
+}  // namespace
+
 SpotMarket::SpotMarket(std::unique_ptr<PriceSource> source)
-    : source_(std::move(source)),
-      price_batch_(detail::mm().spot_price_usd),
-      bids_submitted_batch_(detail::mm().bids_submitted),
-      launches_batch_(detail::mm().launches),
-      interruptions_batch_(detail::mm().interruptions),
-      terminations_batch_(detail::mm().terminations),
-      closes_batch_(detail::mm().closes),
-      unresolved_batch_(detail::mm().requests_unresolved),
-      running_slots_batch_(detail::mm().running_slot_total),
-      pending_slots_batch_(detail::mm().pending_slot_total),
-      revenue_batch_(detail::mm().revenue_usd),
-      band_moves_batch_(detail::mm().band_price_moves),
-      band_scanned_batch_(detail::mm().band_scanned),
-      band_settlements_batch_(detail::mm().band_settlements),
-      band_compactions_batch_(detail::mm().band_compactions) {
+    : source_(std::move(source)), price_batch_(mm().spot_price_usd) {
   SPOTBID_EXPECT(source_ != nullptr, "SpotMarket: null price source");
 }
 
@@ -40,45 +55,13 @@ SpotMarket& SpotMarket::operator=(SpotMarket&& other) noexcept {
   // Swap instead of overwrite, so `other`'s destructor finalizes this
   // market's previous open requests instead of silently dropping them.
   std::swap(source_, other.source_);
-  std::swap(bid_usd_, other.bid_usd_);
-  std::swap(kind_, other.kind_);
-  std::swap(state_, other.state_);
-  std::swap(launches_, other.launches_);
-  std::swap(interruptions_, other.interruptions_);
-  std::swap(submitted_slot_, other.submitted_slot_);
-  std::swap(closed_slot_, other.closed_slot_);
-  std::swap(acc_usd_, other.acc_usd_);
-  std::swap(running_slots_, other.running_slots_);
-  std::swap(pending_slots_, other.pending_slots_);
-  std::swap(seg_start_, other.seg_start_);
-  std::swap(settle_spell_, other.settle_spell_);
   std::swap(requests_, other.requests_);
-  std::swap(band_, other.band_);
-  std::swap(fresh_, other.fresh_);
-  std::swap(staged_, other.staged_);
-  std::swap(stale_, other.stale_);
-  std::swap(spells_, other.spells_);
-  std::swap(fold_cache_, other.fold_cache_);
-  std::swap(fold_cache_upto_, other.fold_cache_upto_);
   std::swap(events_, other.events_);
   std::swap(next_slot_, other.next_slot_);
   std::swap(current_price_, other.current_price_);
   std::swap(has_price_, other.has_price_);
   std::swap(price_batch_, other.price_batch_);
   std::swap(spell_start_, other.spell_start_);
-  std::swap(bids_submitted_batch_, other.bids_submitted_batch_);
-  std::swap(launches_batch_, other.launches_batch_);
-  std::swap(interruptions_batch_, other.interruptions_batch_);
-  std::swap(terminations_batch_, other.terminations_batch_);
-  std::swap(closes_batch_, other.closes_batch_);
-  std::swap(unresolved_batch_, other.unresolved_batch_);
-  std::swap(running_slots_batch_, other.running_slots_batch_);
-  std::swap(pending_slots_batch_, other.pending_slots_batch_);
-  std::swap(revenue_batch_, other.revenue_batch_);
-  std::swap(band_moves_batch_, other.band_moves_batch_);
-  std::swap(band_scanned_batch_, other.band_scanned_batch_);
-  std::swap(band_settlements_batch_, other.band_settlements_batch_);
-  std::swap(band_compactions_batch_, other.band_compactions_batch_);
   return *this;
 }
 
@@ -89,26 +72,25 @@ SpotMarket::~SpotMarket() {
   if (has_price_)
     price_batch_.observe_run(current_price_.usd(),
                              static_cast<std::uint64_t>(next_slot_ - spell_start_));
-  detail::mm().slots.add(price_batch_.pending_count());
+  mm().slots.add(price_batch_.pending_count());
   // Requests still open when the market dies would otherwise never reach a
-  // final state; settle and account for them exactly once here. Moved-from
-  // markets hold empty arrays, so nothing is double-counted. The batch
-  // members flush after this body, in their own destructors.
-  for (RequestId id = 0; id < state_.size(); ++id) {
-    if (state_[id] != RequestState::kTerminated && state_[id] != RequestState::kClosed) {
-      settle(id);
-      record_final_metrics(id, /*resolved=*/false);
+  // final state; account for them exactly once here. Moved-from markets
+  // hold an empty request vector, so nothing is double-counted.
+  for (const auto& req : requests_) {
+    if (req.state != RequestState::kTerminated && req.state != RequestState::kClosed) {
+      record_request_metrics(req, /*resolved=*/false);
     }
   }
 }
 
-void SpotMarket::record_final_metrics(RequestId id, bool resolved) {
-  launches_batch_.add(static_cast<std::uint64_t>(launches_[id]));
-  interruptions_batch_.add(static_cast<std::uint64_t>(interruptions_[id]));
-  running_slots_batch_.add(static_cast<std::uint64_t>(running_slots_[id]));
-  pending_slots_batch_.add(static_cast<std::uint64_t>(pending_slots_[id]));
-  revenue_batch_.add(acc_usd_[id]);
-  if (!resolved) unresolved_batch_.add(1);
+void SpotMarket::record_request_metrics(const RequestStatus& request, bool resolved) {
+  auto& m = mm();
+  m.launches.add(static_cast<std::uint64_t>(request.launches));
+  m.interruptions.add(static_cast<std::uint64_t>(request.interruptions));
+  m.running_slot_total.add(static_cast<std::uint64_t>(request.running_slots));
+  m.pending_slot_total.add(static_cast<std::uint64_t>(request.pending_slots));
+  m.revenue_usd.add(request.accrued_cost.usd());
+  if (!resolved) m.requests_unresolved.increment();
 }
 
 Money SpotMarket::current_price() const {
@@ -119,174 +101,37 @@ Money SpotMarket::current_price() const {
 RequestId SpotMarket::submit(const BidRequest& request) {
   SPOTBID_REQUIRE_FINITE(request.bid_price.usd(), "SpotMarket::submit: bid price");
   SPOTBID_EXPECT(request.bid_price.usd() > 0.0, "SpotMarket::submit: bid must be positive");
-  const RequestId id = bid_usd_.size();
-  bid_usd_.push_back(request.bid_price.usd());
-  kind_.push_back(request.kind);
-  state_.push_back(RequestState::kSubmitted);
-  launches_.push_back(0);
-  interruptions_.push_back(0);
-  submitted_slot_.push_back(next_slot_);
-  closed_slot_.push_back(-1);
-  acc_usd_.push_back(0.0);
-  running_slots_.push_back(0);
-  pending_slots_.push_back(0);
-  seg_start_.push_back(next_slot_);
-  settle_spell_.push_back(0);
   RequestStatus status;
+  status.state = RequestState::kSubmitted;
   status.bid_price = request.bid_price;
   status.kind = request.kind;
   status.submitted_slot = next_slot_;
   requests_.push_back(status);
-  staged_.push_back(id);
-  bids_submitted_batch_.add(1);
-  return id;
-}
-
-std::vector<SpotMarket::BandEntry>::iterator SpotMarket::run_lower_bound(
-    std::vector<BandEntry>& run, double price_usd) {
-  return std::lower_bound(
-      run.begin(), run.end(), price_usd,
-      [](const BandEntry& entry, double price) { return entry.bid_usd < price; });
-}
-
-void SpotMarket::settle_running(RequestId id, SlotIndex upto) const {
-  const SlotIndex start = seg_start_[id];
-  if (upto <= start) return;
-  const std::uint32_t spell_in = settle_spell_[id];
-  double acc = acc_usd_[id];
-  // Memoized fast path: from an exact +0.0 accumulator the replay below is
-  // a pure function of (start, spell_in, upto) — spells appended later all
-  // begin at or after `upto`, so appends never invalidate an epoch's
-  // entries. Requests launched at the same slot share one replay, turning
-  // the common whole-horizon settlement of a large book from O(bids *
-  // slots) dependent additions into O(slots^2) replays plus O(bids) hits.
-  const bool cacheable = std::bit_cast<std::uint64_t>(acc) == 0;
-  if (cacheable) {
-    if (fold_cache_upto_ != upto) {
-      fold_cache_.assign(static_cast<std::size_t>(upto), FoldCacheEntry{});
-      fold_cache_upto_ = upto;
-    }
-    const FoldCacheEntry& hit = fold_cache_[static_cast<std::size_t>(start)];
-    if (hit.spell_in == spell_in) {
-      acc_usd_[id] = hit.acc_out;
-      running_slots_[id] += upto - start;
-      seg_start_[id] = upto;
-      settle_spell_[id] = hit.spell_out;
-      band_settlements_batch_.add(1);
-      return;
-    }
-  }
-  // Replay the oracle's per-slot fold `cost += price * t_k` spell by
-  // spell: the charge was computed once per spell from the same
-  // expression, and the additions happen in the same chronological order,
-  // so the result is bit-identical to the per-object engine's.
-  std::size_t j = spell_in;
-  SlotIndex s = start;
-  for (;;) {
-    const SlotIndex spell_end =
-        j + 1 < spells_.size() ? std::min(spells_[j + 1].start, upto) : upto;
-    const double charge = spells_[j].charge_usd;
-    for (; s < spell_end; ++s) acc += charge;
-    if (s >= upto) break;
-    ++j;
-  }
-  if (cacheable) {
-    fold_cache_[static_cast<std::size_t>(start)] =
-        FoldCacheEntry{spell_in, static_cast<std::uint32_t>(j), acc};
-  }
-  acc_usd_[id] = acc;
-  running_slots_[id] += upto - start;
-  seg_start_[id] = upto;
-  settle_spell_[id] = static_cast<std::uint32_t>(j);
-  band_settlements_batch_.add(1);
-}
-
-void SpotMarket::settle_pending(RequestId id, SlotIndex upto) const {
-  const SlotIndex s = seg_start_[id];
-  if (upto <= s) return;
-  pending_slots_[id] += upto - s;
-  seg_start_[id] = upto;
-  band_settlements_batch_.add(1);
-}
-
-void SpotMarket::settle(RequestId id) const {
-  switch (state_[id]) {
-    case RequestState::kRunning:
-      settle_running(id, next_slot_);
-      break;
-    case RequestState::kPending:
-      settle_pending(id, next_slot_);
-      break;
-    case RequestState::kSubmitted:
-    case RequestState::kTerminated:
-    case RequestState::kClosed:
-      break;  // nothing open: submitted not yet auctioned, finals settled at transition
-  }
-}
-
-void SpotMarket::materialize(RequestId id) const {
-  RequestStatus& row = requests_[id];
-  row.state = state_[id];
-  row.accrued_cost = Money{acc_usd_[id]};
-  row.running_slots = running_slots_[id];
-  row.pending_slots = pending_slots_[id];
-  row.launches = launches_[id];
-  row.interruptions = interruptions_[id];
-  row.closed_slot = closed_slot_[id];
+  mm().bids_submitted.increment();
+  return requests_.size() - 1;
 }
 
 const RequestStatus& SpotMarket::status(RequestId id) const {
-  SPOTBID_EXPECT(id < bid_usd_.size(), "SpotMarket: unknown request id");
-  settle(id);
-  materialize(id);
+  SPOTBID_EXPECT(id < requests_.size(), "SpotMarket: unknown request id");
   return requests_[id];
 }
 
 bool SpotMarket::is_final(RequestId id) const {
-  SPOTBID_EXPECT(id < bid_usd_.size(), "SpotMarket: unknown request id");
-  const auto state = state_[id];
+  const auto state = status(id).state;
   return state == RequestState::kTerminated || state == RequestState::kClosed;
 }
 
 void SpotMarket::close(RequestId id) {
-  SPOTBID_EXPECT(id < bid_usd_.size(), "SpotMarket: unknown request id");
-  const RequestState state = state_[id];
-  if (state == RequestState::kTerminated || state == RequestState::kClosed) {
+  SPOTBID_EXPECT(id < requests_.size(), "SpotMarket: unknown request id");
+  auto& req = requests_[id];
+  if (req.state == RequestState::kTerminated || req.state == RequestState::kClosed) {
     return;
   }
-  // kSubmitted requests sit in staged_ (never entered the band); the next
-  // advance() skips them there. Pending/running requests leave a stale
-  // band entry behind, skipped by the sweeps and compacted eventually.
-  if (state != RequestState::kSubmitted) {
-    settle(id);
-    ++stale_;
-  }
-  state_[id] = RequestState::kClosed;
-  closed_slot_[id] = next_slot_;
+  req.state = RequestState::kClosed;
+  req.closed_slot = next_slot_;
   events_.push_back({next_slot_, id, EventKind::kClosed});
-  record_final_metrics(id, /*resolved=*/true);
-  closes_batch_.add(1);
-}
-
-void SpotMarket::maybe_compact() {
-  const std::size_t live = band_.size() + fresh_.size();
-  if (live < 64 || stale_ * 2 <= live) return;
-  const auto entry_final = [this](const BandEntry& entry) {
-    const RequestState state = state_[entry.id];
-    return state == RequestState::kTerminated || state == RequestState::kClosed;
-  };
-  std::erase_if(band_, entry_final);
-  std::erase_if(fresh_, entry_final);
-  stale_ = 0;
-  band_compactions_batch_.add(1);
-}
-
-void SpotMarket::promote_fresh() {
-  if (fresh_.empty()) return;
-  const auto mid = static_cast<std::ptrdiff_t>(band_.size());
-  band_.insert(band_.end(), fresh_.begin(), fresh_.end());
-  fresh_.clear();
-  std::inplace_merge(band_.begin(), band_.begin() + mid, band_.end(), band_less);
+  record_request_metrics(req, /*resolved=*/true);
+  mm().closes.increment();
 }
 
 SlotReport SpotMarket::advance() {
@@ -295,115 +140,61 @@ SlotReport SpotMarket::advance() {
   report.price = source_->price_at(next_slot_);
   SPOTBID_REQUIRE_FINITE(report.price.usd(), "SpotMarket::advance: source price");
   SPOTBID_EXPECT(report.price.usd() >= 0.0, "SpotMarket::advance: negative source price");
-  const Hours tk = source_->slot_length();
-  const bool changed = has_price_ && report.price != current_price_;
-  if (changed) {
+  if (has_price_ && report.price != current_price_) {
     // Price spell ended: record it with its slot-weighted run length.
     price_batch_.observe_run(current_price_.usd(),
                              static_cast<std::uint64_t>(next_slot_ - spell_start_));
     spell_start_ = next_slot_;
   }
-  if (!has_price_ || changed) {
-    // Open the billing spell with the charge the oracle would apply each
-    // slot; settlement replays it per running slot.
-    spells_.push_back({next_slot_, (report.price * tk).usd()});
-  }
-  const Money old_price = current_price_;
   current_price_ = report.price;
   has_price_ = true;
-  const SlotIndex slot = next_slot_;
-  const double price_usd = report.price.usd();
 
-  if (changed) {
-    band_moves_batch_.add(1);
-    // Each sweep visits the affected bid range of both sorted runs. The
-    // per-request transitions are independent and the slot's events are
-    // sorted by id below, so the run visit order is unobservable.
-    if (price_usd > old_price.usd()) {
-      // Upward move: running requests with bid in [old, new) are outbid.
-      for (auto* run : {&band_, &fresh_}) {
-        const auto lo = run_lower_bound(*run, old_price.usd());
-        const auto hi = run_lower_bound(*run, price_usd);
-        band_scanned_batch_.add(static_cast<std::uint64_t>(hi - lo));
-        for (auto it = lo; it != hi; ++it) {
-          const RequestId id = it->id;
-          if (state_[id] != RequestState::kRunning) continue;  // stale entry
-          settle_running(id, slot);
-          if (kind_[id] == BidKind::kPersistent) {
-            state_[id] = RequestState::kPending;
-            ++interruptions_[id];
-            seg_start_[id] = slot;  // pending from the interruption slot on
-            report.events.push_back({slot, id, EventKind::kInterrupted});
-          } else {
-            state_[id] = RequestState::kTerminated;
-            closed_slot_[id] = slot;
-            report.events.push_back({slot, id, EventKind::kTerminated});
-            record_final_metrics(id, /*resolved=*/true);
-            terminations_batch_.add(1);
-            ++stale_;
-          }
+  const Hours tk = source_->slot_length();
+  for (RequestId id = 0; id < requests_.size(); ++id) {
+    auto& req = requests_[id];
+    switch (req.state) {
+      case RequestState::kTerminated:
+      case RequestState::kClosed:
+        break;
+      case RequestState::kSubmitted:
+      case RequestState::kPending: {
+        if (req.bid_price >= report.price) {
+          req.state = RequestState::kRunning;
+          ++req.launches;
+          req.accrued_cost += report.price * tk;
+          ++req.running_slots;
+          report.events.push_back({report.slot, id, EventKind::kLaunched});
+        } else {
+          // EC2 keeps unfulfilled spot requests open: wait for the price.
+          req.state = RequestState::kPending;
+          ++req.pending_slots;
         }
+        break;
       }
-    } else {
-      // Downward move: pending requests with bid in [new, old) re-admit.
-      for (auto* run : {&band_, &fresh_}) {
-        const auto lo = run_lower_bound(*run, price_usd);
-        const auto hi = run_lower_bound(*run, old_price.usd());
-        band_scanned_batch_.add(static_cast<std::uint64_t>(hi - lo));
-        for (auto it = lo; it != hi; ++it) {
-          const RequestId id = it->id;
-          if (state_[id] != RequestState::kPending) continue;  // stale entry
-          settle_pending(id, slot);
-          state_[id] = RequestState::kRunning;
-          ++launches_[id];
-          seg_start_[id] = slot;
-          settle_spell_[id] = static_cast<std::uint32_t>(spells_.size() - 1);
-          report.events.push_back({slot, id, EventKind::kLaunched});
+      case RequestState::kRunning: {
+        if (req.bid_price >= report.price) {
+          req.accrued_cost += report.price * tk;
+          ++req.running_slots;
+        } else if (req.kind == BidKind::kPersistent) {
+          req.state = RequestState::kPending;
+          ++req.interruptions;
+          ++req.pending_slots;
+          report.events.push_back({report.slot, id, EventKind::kInterrupted});
+        } else {
+          req.state = RequestState::kTerminated;
+          req.closed_slot = report.slot;
+          report.events.push_back({report.slot, id, EventKind::kTerminated});
+          record_request_metrics(req, /*resolved=*/true);
+          mm().terminations.increment();
         }
+        break;
       }
     }
-    maybe_compact();
   }
-
-  if (!staged_.empty()) {
-    // Newly submitted requests enter the auction this slot (staged_ is in
-    // id order) and join the fresh run, merged in one pass; the fresh run
-    // is promoted into the main band only when it matches its size.
-    const auto first_new = static_cast<std::ptrdiff_t>(fresh_.size());
-    for (const RequestId id : staged_) {
-      if (state_[id] != RequestState::kSubmitted) continue;  // closed pre-auction
-      if (bid_usd_[id] >= price_usd) {
-        state_[id] = RequestState::kRunning;
-        ++launches_[id];
-        seg_start_[id] = slot;
-        settle_spell_[id] = static_cast<std::uint32_t>(spells_.size() - 1);
-        report.events.push_back({slot, id, EventKind::kLaunched});
-      } else {
-        // EC2 keeps unfulfilled spot requests open: wait for the price.
-        state_[id] = RequestState::kPending;
-        seg_start_[id] = slot;
-      }
-      fresh_.push_back({bid_usd_[id], id});
-    }
-    staged_.clear();
-    std::sort(fresh_.begin() + first_new, fresh_.end(), band_less);
-    std::inplace_merge(fresh_.begin(), fresh_.begin() + first_new, fresh_.end(), band_less);
-    if (fresh_.size() >= band_.size()) promote_fresh();
-  }
-
-  // The oracle walks requests in id order and emits at most one event per
-  // request per slot; sorting by id reproduces its exact event sequence.
-  std::sort(report.events.begin(), report.events.end(),
-            [](const Event& a, const Event& b) { return a.request < b.request; });
 
   events_.insert(events_.end(), report.events.begin(), report.events.end());
   ++next_slot_;
   return report;
-}
-
-void SpotMarket::advance_many(int n) {
-  SPOTBID_EXPECT(n >= 0, "SpotMarket::advance_many: negative slot count");
-  for (int i = 0; i < n; ++i) advance();
 }
 
 }  // namespace spotbid::market

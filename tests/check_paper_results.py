@@ -84,8 +84,6 @@ def main(argv):
                 golden.splitlines(keepends=True), block.splitlines(keepends=True),
                 f"golden/{name}.txt", f"{name} stdout"))
     if failed:
-        write_fresh(out_dir, fingerprint, blocks)
-        print(f"fresh result blocks written to {out_dir}")
         return 1
     print(f"{len(blocks)} result blocks match their goldens")
     return 0

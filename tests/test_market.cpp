@@ -3,13 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "spotbid/dist/uniform.hpp"
+#include "spotbid/ec2/instance_types.hpp"
 #include "spotbid/market/checkpoint.hpp"
 #include "spotbid/market/price_source.hpp"
 #include "spotbid/market/spot_market.hpp"
 #include "spotbid/market/work_tracker.hpp"
+#include "spotbid/trace/generator.hpp"
 
 namespace spotbid::market {
 namespace {
@@ -183,6 +189,79 @@ TEST(SpotMarket, BidEqualToPriceWins) {
   const auto id = m.submit({Money{0.05}, BidKind::kOneTime});
   m.advance();
   EXPECT_EQ(m.status(id).state, RequestState::kRunning);
+}
+
+/// Two runs over the same prices and bids must agree exactly: even a
+/// last-ulp cost difference is a failure.
+void ExpectStatusBitsEqual(const RequestStatus& a, const RequestStatus& b, RequestId id) {
+  EXPECT_EQ(a.state, b.state) << "request " << id;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.accrued_cost.usd()),
+            std::bit_cast<std::uint64_t>(b.accrued_cost.usd()))
+      << "accrued cost of request " << id;
+  EXPECT_EQ(a.running_slots, b.running_slots) << "request " << id;
+  EXPECT_EQ(a.pending_slots, b.pending_slots) << "request " << id;
+  EXPECT_EQ(a.launches, b.launches) << "request " << id;
+  EXPECT_EQ(a.interruptions, b.interruptions) << "request " << id;
+  EXPECT_EQ(a.closed_slot, b.closed_slot) << "request " << id;
+}
+
+TEST(SpotMarket, StatusQueryFrequencyIsObservationallyIrrelevant) {
+  // status() is a pure read: querying every bid every slot and querying
+  // only at the end yield identical tallies and event logs.
+  const auto& type = ec2::require_type("r3.xlarge");
+  trace::GeneratorConfig config;
+  config.slots = 300;
+  config.slot_length = Hours{kTk};
+  config.seed = 21;
+  const trace::PriceTrace trace = trace::generate_for_type(type, config);
+  const std::vector<double> prices{trace.prices().begin(), trace.prices().end()};
+
+  auto chatty = make_market(prices);
+  auto quiet = make_market(prices);
+  std::vector<RequestId> ids;
+  for (int i = 0; i < 60; ++i) {
+    const BidRequest request{Money{0.02 + 0.004 * i},
+                             i % 2 == 0 ? BidKind::kPersistent : BidKind::kOneTime};
+    ids.push_back(chatty.submit(request));
+    (void)quiet.submit(request);
+  }
+  for (std::size_t slot = 0; slot < prices.size(); ++slot) {
+    chatty.advance();
+    quiet.advance();
+    for (const RequestId id : ids) (void)chatty.status(id);
+  }
+  int interruptions = 0;
+  for (const RequestId id : ids) {
+    ExpectStatusBitsEqual(chatty.status(id), quiet.status(id), id);
+    interruptions += quiet.status(id).interruptions;
+  }
+  EXPECT_EQ(chatty.event_log(), quiet.event_log());
+  EXPECT_GT(interruptions, 0);  // the trace does outbid some bids
+}
+
+TEST(SpotMarket, MoveMidRunKeepsAccounting) {
+  // A market moved mid-run carries on exactly where the original left off.
+  const std::vector<double> prices = {0.05, 0.08, 0.03, 0.06, 0.02, 0.09, 0.04};
+  auto original = make_market(prices);
+  auto unmoved = make_market(prices);
+  std::vector<RequestId> ids;
+  for (int i = 0; i < 12; ++i) {
+    const BidRequest request{Money{0.02 + 0.007 * i},
+                             i % 3 == 0 ? BidKind::kOneTime : BidKind::kPersistent};
+    ids.push_back(original.submit(request));
+    (void)unmoved.submit(request);
+  }
+  for (int s = 0; s < 3; ++s) {
+    original.advance();
+    unmoved.advance();
+  }
+  SpotMarket moved{std::move(original)};
+  for (std::size_t s = 3; s < prices.size(); ++s) {
+    moved.advance();
+    unmoved.advance();
+  }
+  for (const RequestId id : ids) ExpectStatusBitsEqual(moved.status(id), unmoved.status(id), id);
+  EXPECT_EQ(moved.event_log(), unmoved.event_log());
 }
 
 TEST(TracePriceSourceTest, WrapAndNoWrap) {

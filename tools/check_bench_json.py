@@ -5,8 +5,8 @@ The schema is an anyOf over the known bench documents, discriminated by
 the top-level "benchmark" const: "fig5_onetime_sweep" (bench_parallel's
 BENCH_spotbid.json), "query_plane" (bench_query_plane's
 BENCH_query_plane.json), "serve" (bench_serve's BENCH_serve.json),
-"market_soa" (bench_market's BENCH_market.json), and "loadgen"
-(bench_loadgen's BENCH_loadgen.json).
+"loadgen" (bench_loadgen's BENCH_loadgen.json), and "portfolio"
+(bench_portfolio's BENCH_portfolio.json).
 
 Stdlib only (CI installs no Python packages), so this implements the small
 JSON-Schema subset the schema file actually uses:
