@@ -5,7 +5,6 @@
 
 #include <cmath>
 #include <memory>
-#include <ostream>
 
 #include "spotbid/core/types.hpp"
 #include "spotbid/dist/exponential.hpp"
@@ -21,10 +20,6 @@ struct Case {
   const char* label;
   DistributionPtr dist;
 };
-
-// Printed into the test names instead of the object's raw (pointer) bytes,
-// which differ from run to run.
-void PrintTo(const Case& c, std::ostream* os) { *os << c.label << ' ' << c.dist->name(); }
 
 Case make_case(const char* label, DistributionPtr d) { return {label, std::move(d)}; }
 
