@@ -133,22 +133,11 @@ void node_count_ablation() {
                "re-execution (the paper's t_o < (M-1) t_r condition).\n";
 }
 
-void benchmark_psi_inverse(benchmark::State& state) {
-  const auto model = bidding::SpotPriceModel::from_type(ec2::require_type("r3.xlarge"));
-  for (auto _ : state) {
-    auto p = bidding::psi_inverse(model, 9.0);
-    benchmark::DoNotOptimize(p);
-  }
-}
-BENCHMARK(benchmark_psi_inverse)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+void spotbid::bench::ablation_sensitivity() {
   arrival_family_ablation();
   recovery_time_ablation();
   calibration_ablation();
   node_count_ablation();
-  spotbid::bench::metrics_report("ablation_sensitivity");
-  return spotbid::bench::run_benchmarks(argc, argv);
 }

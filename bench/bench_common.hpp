@@ -1,11 +1,9 @@
 #pragma once
 
 /// \file bench_common.hpp
-/// Shared helpers for the reproduction benches: ASCII table rendering and
-/// a tiny wrapper that prints the paper-style tables first, then runs any
-/// registered google-benchmark timings.
-
-#include <benchmark/benchmark.h>
+/// Shared helpers for the benches: ASCII table rendering, number
+/// formatting and the metrics report, plus the paper reproductions that
+/// spotbid_paper runs by name.
 
 #include <cstdio>
 #include <cstdlib>
@@ -99,14 +97,17 @@ inline void metrics_report(const std::string& title) {
   }
 }
 
-/// Run the reproduction (already printed by the caller) and then the
-/// registered google-benchmark timings.
-inline int run_benchmarks(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+/// The paper reproductions, one per bench/<name>.cpp. Each prints its
+/// result block (the reproduced tables and figures) to stdout.
+void fig3_pdf_fit();
+void fig4_running_time();
+void fig5_onetime_cost();
+void fig6_persistent_vs_onetime();
+void table3_optimal_bids();
+void table4_mapreduce_bids();
+void fig7_mapreduce();
+void provider_model();
+void ablation_sensitivity();
+void ext_section8();
 
 }  // namespace spotbid::bench

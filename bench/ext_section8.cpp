@@ -158,36 +158,12 @@ void workflow_pipeline() {
                "Section-8 policy; savings match the single-instance regime.\n";
 }
 
-void benchmark_deadline_bid(benchmark::State& state) {
-  const auto model = bidding::SpotPriceModel::from_type(ec2::require_type("r3.xlarge"));
-  const bidding::JobSpec job{Hours{1.0}, Hours::from_seconds(30.0)};
-  for (auto _ : state) {
-    auto d = bidding::deadline_constrained_bid(model, job, Hours{2.0}, 0.05);
-    benchmark::DoNotOptimize(d);
-  }
-}
-BENCHMARK(benchmark_deadline_bid)->Unit(benchmark::kMillisecond);
-
-void benchmark_collective_round(benchmark::State& state) {
-  collective::PopulationConfig config;
-  config.users = 20;
-  config.slots_per_round = 300;
-  config.rounds = 1;
-  for (auto _ : state) {
-    auto rounds = collective::iterate_best_response(ec2::require_type("m3.xlarge"), config);
-    benchmark::DoNotOptimize(rounds);
-  }
-}
-BENCHMARK(benchmark_collective_round)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+void spotbid::bench::ext_section8() {
   risk_frontier();
   deadline_frontier();
   sticky_comparison();
   collective_iteration();
   workflow_pipeline();
-  spotbid::bench::metrics_report("ext_section8");
-  return spotbid::bench::run_benchmarks(argc, argv);
 }

@@ -122,28 +122,6 @@ void reproduce_figure3() {
                "K-S test accepts day/night homogeneity with p > 0.01.\n";
 }
 
-void benchmark_fit(benchmark::State& state) {
-  const auto& type = ec2::require_type("m3.xlarge");
-  const auto model = provider::calibrated_model(type);
-  trace::GeneratorConfig config;
-  config.slots = 4000;
-  config.persistence = 0.0;
-  const auto history = trace::generate_for_type(type, config);
-  const auto hist = trace::price_histogram(history, 50);
-  const auto family = pareto_family(model, hist.bin_width(), hist.bin_center(0));
-  const double lambda_min = model.lambda_min();
-  for (auto _ : state) {
-    auto fit = dist::fit_histogram(family, hist, {4.0, lambda_min * 0.8},
-                                   {{1.0, lambda_min * 0.05}, {25.0, lambda_min * 2.0}});
-    benchmark::DoNotOptimize(fit);
-  }
-}
-BENCHMARK(benchmark_fit)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  reproduce_figure3();
-  spotbid::bench::metrics_report("fig3_pdf_fit");
-  return spotbid::bench::run_benchmarks(argc, argv);
-}
+void spotbid::bench::fig3_pdf_fit() { reproduce_figure3(); }

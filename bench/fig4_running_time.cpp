@@ -109,24 +109,6 @@ void reproduce_figure4() {
             << " measured (within one slot)\n";
 }
 
-void benchmark_replay_day(benchmark::State& state) {
-  const auto& type = ec2::require_type("r3.xlarge");
-  trace::GeneratorConfig config;
-  config.slots = 288;
-  const auto day = trace::generate_for_type(type, config);
-  const bidding::JobSpec job{Hours{2.0}, Hours::from_seconds(30.0)};
-  for (auto _ : state) {
-    market::SpotMarket market{std::make_unique<market::TracePriceSource>(day, true)};
-    auto run = client::run_persistent(market, Money{0.035}, job);
-    benchmark::DoNotOptimize(run);
-  }
-}
-BENCHMARK(benchmark_replay_day)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  reproduce_figure4();
-  spotbid::bench::metrics_report("fig4_running_time");
-  return spotbid::bench::run_benchmarks(argc, argv);
-}
+void spotbid::bench::fig4_running_time() { reproduce_figure4(); }

@@ -52,24 +52,6 @@ void reproduce_figure5() {
             << bench::fmt("%.1f%%", 100.0 * best_savings) << ".\n";
 }
 
-void benchmark_experiment_cell(benchmark::State& state) {
-  const auto& type = ec2::require_type("r3.xlarge");
-  const bidding::JobSpec job{Hours{1.0}, Hours{0.0}};
-  client::ExperimentConfig config;
-  config.repetitions = 3;
-  config.history_slots = 4000;
-  for (auto _ : state) {
-    auto outcome =
-        client::run_single_instance_experiment(type, job, client::StrategyKind::kOneTime, config);
-    benchmark::DoNotOptimize(outcome);
-  }
-}
-BENCHMARK(benchmark_experiment_cell)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  reproduce_figure5();
-  spotbid::bench::metrics_report("fig5_onetime_cost");
-  return spotbid::bench::run_benchmarks(argc, argv);
-}
+void spotbid::bench::fig5_onetime_cost() { reproduce_figure5(); }

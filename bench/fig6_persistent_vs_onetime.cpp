@@ -84,24 +84,6 @@ void reproduce_figure6() {
          "yields a smaller cost reduction than the Proposition-5 optimum.\n";
 }
 
-void benchmark_persistent_run(benchmark::State& state) {
-  const auto& type = ec2::require_type("r3.2xlarge");
-  const bidding::JobSpec job{Hours{1.0}, Hours::from_seconds(30.0)};
-  client::ExperimentConfig config;
-  config.repetitions = 2;
-  config.history_slots = 4000;
-  for (auto _ : state) {
-    auto outcome = client::run_single_instance_experiment(
-        type, job, client::StrategyKind::kPersistent, config);
-    benchmark::DoNotOptimize(outcome);
-  }
-}
-BENCHMARK(benchmark_persistent_run)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  reproduce_figure6();
-  spotbid::bench::metrics_report("fig6_persistent_vs_onetime");
-  return spotbid::bench::run_benchmarks(argc, argv);
-}
+void spotbid::bench::fig6_persistent_vs_onetime() { reproduce_figure6(); }

@@ -60,26 +60,6 @@ void reproduce_figure7() {
                " which inflates the measured tail relative to the paper's runs).\n";
 }
 
-void benchmark_cluster_run(benchmark::State& state) {
-  const auto setting = ec2::mapreduce_settings()[0];
-  bidding::ParallelJobSpec job;
-  job.execution_time = Hours{1.0};
-  job.recovery_time = Hours::from_seconds(30.0);
-  job.overhead_time = Hours::from_seconds(60.0);
-  client::ExperimentConfig config;
-  config.repetitions = 1;
-  config.history_slots = 4000;
-  for (auto _ : state) {
-    auto outcome = client::run_mapreduce_experiment(setting, job, config);
-    benchmark::DoNotOptimize(outcome);
-  }
-}
-BENCHMARK(benchmark_cluster_run)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  reproduce_figure7();
-  spotbid::bench::metrics_report("fig7_mapreduce");
-  return spotbid::bench::run_benchmarks(argc, argv);
-}
+void spotbid::bench::fig7_mapreduce() { reproduce_figure7(); }

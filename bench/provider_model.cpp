@@ -4,8 +4,7 @@
 //   - Proposition 1: conditional Lyapunov drift sign and the empirical
 //     boundedness of the queue under stochastic arrivals;
 //   - Proposition 2: convergence of the demand recursion to the fixed
-//     point and the equilibrium price map;
-//   - solver micro-benchmarks.
+//     point and the equilibrium price map.
 
 #include <cmath>
 #include <iostream>
@@ -66,34 +65,9 @@ void stability_check() {
             << bench::fmt("%.3f", queue.average_demand()) << " (bounded, ~L* as predicted)\n";
 }
 
-void benchmark_closed_form(benchmark::State& state) {
-  const provider::ProviderModel m{Money{0.35}, Money{0.0315}, 0.595, 0.02};
-  double demand = 1.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m.optimal_price(demand));
-    demand = demand < 1000 ? demand * 1.001 : 1.0;
-  }
-}
-BENCHMARK(benchmark_closed_form);
-
-void benchmark_numeric_optimum(benchmark::State& state) {
-  const provider::ProviderModel m{Money{0.35}, Money{0.0315}, 0.595, 0.02};
-  for (auto _ : state) benchmark::DoNotOptimize(m.optimal_price_numeric(42.0));
-}
-BENCHMARK(benchmark_numeric_optimum)->Unit(benchmark::kMicrosecond);
-
-void benchmark_queue_slot(benchmark::State& state) {
-  const provider::ProviderModel m{Money{0.35}, Money{0.0315}, 0.595, 0.02};
-  provider::QueueSimulator queue{m, 10.0};
-  for (auto _ : state) benchmark::DoNotOptimize(queue.step(0.05));
-}
-BENCHMARK(benchmark_queue_slot);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+void spotbid::bench::provider_model() {
   closed_form_check();
   stability_check();
-  spotbid::bench::metrics_report("provider_model");
-  return spotbid::bench::run_benchmarks(argc, argv);
 }

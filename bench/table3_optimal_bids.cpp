@@ -3,10 +3,7 @@
 // with t_r = 10 s and t_r = 30 s (Proposition 5), and the "best offline
 // price in retrospect" p~ searched over the trailing 10 hours of history.
 //
-// Also prints Table 2 (the instance catalog) for reference, and times the
-// bid computations: the paper reports 11.305 s (one-time) and 4.365 s
-// (persistent) over ~1 MB of price history on a 2015 laptop; the same
-// computation here runs in microseconds-to-milliseconds.
+// Also prints Table 2 (the instance catalog) for reference.
 
 #include <iostream>
 
@@ -61,45 +58,9 @@ void reproduce_table3() {
                "below the safe one-time bid (10 h of history is not enough).\n";
 }
 
-void benchmark_one_time_bid(benchmark::State& state) {
-  const auto& type = ec2::require_type("c3.4xlarge");
-  const auto history = trace::generate_for_type(type);
-  const auto model = bidding::SpotPriceModel::from_trace(history, type.on_demand);
-  const bidding::JobSpec job{Hours{1.0}, Hours{0.0}};
-  for (auto _ : state) {
-    auto d = bidding::one_time_bid(model, job);
-    benchmark::DoNotOptimize(d);
-  }
-}
-BENCHMARK(benchmark_one_time_bid)->Unit(benchmark::kMicrosecond);
-
-void benchmark_persistent_bid(benchmark::State& state) {
-  const auto& type = ec2::require_type("c3.4xlarge");
-  const auto history = trace::generate_for_type(type);
-  const auto model = bidding::SpotPriceModel::from_trace(history, type.on_demand);
-  const bidding::JobSpec job{Hours{1.0}, Hours::from_seconds(30.0)};
-  for (auto _ : state) {
-    auto d = bidding::persistent_bid(model, job);
-    benchmark::DoNotOptimize(d);
-  }
-}
-BENCHMARK(benchmark_persistent_bid)->Unit(benchmark::kMillisecond);
-
-void benchmark_model_from_history(benchmark::State& state) {
-  const auto& type = ec2::require_type("c3.4xlarge");
-  const auto history = trace::generate_for_type(type);
-  for (auto _ : state) {
-    auto model = bidding::SpotPriceModel::from_trace(history, type.on_demand);
-    benchmark::DoNotOptimize(model);
-  }
-}
-BENCHMARK(benchmark_model_from_history)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+void spotbid::bench::table3_optimal_bids() {
   print_table2();
   reproduce_table3();
-  spotbid::bench::metrics_report("table3_optimal_bids");
-  return spotbid::bench::run_benchmarks(argc, argv);
 }

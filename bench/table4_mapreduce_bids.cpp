@@ -44,25 +44,6 @@ void reproduce_table4() {
                "(no interruptions allowed on the master).\n";
 }
 
-void benchmark_mapreduce_plan(benchmark::State& state) {
-  const auto settings = ec2::mapreduce_settings();
-  bidding::ParallelJobSpec job;
-  job.execution_time = Hours{1.0};
-  job.recovery_time = Hours::from_seconds(30.0);
-  job.overhead_time = Hours::from_seconds(60.0);
-  const auto master = bidding::SpotPriceModel::from_type(settings[0].master);
-  const auto slave = bidding::SpotPriceModel::from_type(settings[0].slave);
-  for (auto _ : state) {
-    auto plan = bidding::mapreduce_bid(master, slave, job);
-    benchmark::DoNotOptimize(plan);
-  }
-}
-BENCHMARK(benchmark_mapreduce_plan)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  reproduce_table4();
-  spotbid::bench::metrics_report("table4_mapreduce_bids");
-  return spotbid::bench::run_benchmarks(argc, argv);
-}
+void spotbid::bench::table4_mapreduce_bids() { reproduce_table4(); }

@@ -268,7 +268,7 @@ void EpollServer::process_inbox(Shard& shard) {
     if (conn.replies.empty()) continue;  // unreachable; defensive
     // Tickets are dense, so the slot sits at its distance from the head.
     const std::uint64_t head = conn.replies.front().ticket;
-    Ready& slot = conn.replies[static_cast<std::size_t>(completion.ticket - head)];
+    Ready& slot = conn.replies[completion.ticket - head];
     // Status-to-frame mapping mirrors net::Server's write_loop exactly —
     // the byte-for-byte contract between the two front-ends.
     const serve::Response& response = completion.response;
@@ -303,9 +303,8 @@ void EpollServer::accept_burst(Shard& shard) {
     if (!accepted.valid()) return;
     em().connections.increment();
     accepted_count_.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t target = static_cast<std::size_t>(
-        next_shard_.fetch_add(1, std::memory_order_relaxed) %
-        static_cast<std::uint64_t>(shard_count_));
+    const std::size_t target = next_shard_.fetch_add(1, std::memory_order_relaxed) %
+                               static_cast<std::uint64_t>(shard_count_);
     if (target == static_cast<std::size_t>(shard.index)) {
       register_conn(shard, std::move(accepted));
     } else {

@@ -177,7 +177,7 @@ dist::DistributionPtr read_empirical(Reader& r) {
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(n));
   for (std::size_t i = 0; i < knots; ++i)
-    samples.insert(samples.end(), static_cast<std::size_t>(counts[i]), x[i]);
+    samples.insert(samples.end(), counts[i], x[i]);
   auto law = std::make_shared<dist::Empirical>(samples);
 
   // Integrity cross-check: the stored prefix arrays must match the rebuilt

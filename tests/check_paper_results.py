@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
-"""Compare the paper binaries' result blocks with their committed goldens.
+"""Compare the paper figures' result blocks with their committed goldens.
 
-Usage: check_paper_results.py GOLDEN_DIR OUT_DIR FINGERPRINT_BINARY PAPER_BINARY...
+Usage: check_paper_results.py GOLDEN_DIR OUT_DIR FINGERPRINT_BINARY PAPER_BINARY
 
-Each paper binary runs with --benchmark_filter='^$' (no timing loops). Its
-result block is stdout up to, not including, the line that ends in
-": run metrics ===": the reproduced tables and figures, without the
-metrics dump and the timings. Each block must equal GOLDEN_DIR/<name>.txt
-byte for byte.
+PAPER_BINARY is the spotbid_paper driver. Run with no argument it must
+exit 2 and list its figure names on stderr, one per line indented by two
+spaces; run with an unknown name it must exit 2 as well. The listed names
+must equal the stems of GOLDEN_DIR/*.txt other than libm_fingerprint, so
+neither a figure without a golden nor a golden without a figure passes.
+
+Each figure then runs as `PAPER_BINARY <name>`. Its result block is stdout
+up to, not including, the line that ends in ": run metrics ===": the
+reproduced tables and figures, without the metrics dump. Each block must
+equal GOLDEN_DIR/<name>.txt byte for byte.
 
 The blocks print doubles, so a libm that rounds differently can move a
 last printed digit without any change to the program. FINGERPRINT_BINARY
@@ -16,8 +21,9 @@ GOLDEN_DIR/libm_fingerprint.txt, the comparison does not apply. The script
 then writes fresh blocks and the fingerprint into OUT_DIR, prints that
 path and exits with 77, which ctest reports as skipped.
 
-Exit status: 0 when every block matches, 1 on a mismatch or a missing
-marker, 77 when the libm fingerprint differs, 2 on a usage error.
+Exit status: 0 when every block matches, 1 on a mismatch, a missing
+marker or a figure list that differs from the goldens, 77 when the libm
+fingerprint differs, 2 on a usage error.
 """
 
 import difflib
@@ -26,11 +32,21 @@ import subprocess
 import sys
 
 MARKER = ": run metrics ==="
+FINGERPRINT = "libm_fingerprint"
 SKIP = 77
 
 
-def result_block(binary):
-    out = subprocess.run([binary, "--benchmark_filter=^$"], check=True,
+def figure_names(binary):
+    """The driver's figure list, or None when its usage exit is not 2."""
+    listing = subprocess.run([binary], capture_output=True, text=True)
+    unknown = subprocess.run([binary, "no_such_figure"], capture_output=True, text=True)
+    if listing.returncode != 2 or unknown.returncode != 2:
+        return None
+    return [line.strip() for line in listing.stderr.splitlines() if line.startswith("  ")]
+
+
+def result_block(binary, name):
+    out = subprocess.run([binary, name], check=True,
                          capture_output=True, text=True).stdout
     lines = out.splitlines(keepends=True)
     for i, line in enumerate(lines):
@@ -41,7 +57,7 @@ def result_block(binary):
 
 def write_fresh(out_dir, fingerprint, blocks):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "libm_fingerprint.txt"), "w") as f:
+    with open(os.path.join(out_dir, FINGERPRINT + ".txt"), "w") as f:
         f.write(fingerprint)
     for name, block in blocks.items():
         with open(os.path.join(out_dir, name + ".txt"), "w") as f:
@@ -49,15 +65,26 @@ def write_fresh(out_dir, fingerprint, blocks):
 
 
 def main(argv):
-    if len(argv) < 4:
+    if len(argv) != 4:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    golden_dir, out_dir, fingerprint_binary, binaries = argv[0], argv[1], argv[2], argv[3:]
+    golden_dir, out_dir, fingerprint_binary, binary = argv
+
+    names = figure_names(binary)
+    if names is None:
+        print(f"{binary}: no argument and an unknown figure must both exit 2")
+        return 1
+    goldens = sorted(f[:-len(".txt")] for f in os.listdir(golden_dir)
+                     if f.endswith(".txt") and f != FINGERPRINT + ".txt")
+    if sorted(names) != goldens:
+        print("figure list differs from the goldens")
+        print(f"  figures without a golden: {sorted(set(names) - set(goldens))}")
+        print(f"  goldens without a figure: {sorted(set(goldens) - set(names))}")
+        return 1
 
     blocks = {}
-    for binary in binaries:
-        name = os.path.basename(binary)
-        block = result_block(binary)
+    for name in names:
+        block = result_block(binary, name)
         if block is None:
             print(f"{name}: no line ending in '{MARKER}' on stdout")
             return 1
@@ -65,7 +92,7 @@ def main(argv):
 
     fingerprint = subprocess.run([fingerprint_binary], check=True,
                                  capture_output=True, text=True).stdout
-    with open(os.path.join(golden_dir, "libm_fingerprint.txt")) as f:
+    with open(os.path.join(golden_dir, FINGERPRINT + ".txt")) as f:
         golden_fingerprint = f.read()
     if fingerprint != golden_fingerprint:
         write_fresh(out_dir, fingerprint, blocks)

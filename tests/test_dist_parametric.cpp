@@ -21,6 +21,11 @@ struct Case {
   DistributionPtr dist;
 };
 
+// Printed into the test names (`# GetParam() = uniform Uniform(lo=0.02,
+// hi=0.35)`); without it gtest dumps the object's raw bytes, pointers
+// included, so the names would change from run to run.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.label << ' ' << c.dist->name(); }
+
 Case make_case(const char* label, DistributionPtr d) { return {label, std::move(d)}; }
 
 class DistributionInvariants : public ::testing::TestWithParam<Case> {};
