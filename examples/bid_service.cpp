@@ -97,8 +97,8 @@ int main(int argc, char** argv) {
       [&] { return serve::ModelSnapshot::from_trace(hot_key, history, *type); });
   recalibrator.start();
 
-  // 3. The service: a worker pool draining a bounded queue, micro-batching
-  //    same-key requests into one knot sweep per tick.
+  // 3. The service: a worker pool draining a bounded queue, grouping each
+  //    tick's same-key requests behind one snapshot lookup.
   serve::BidService service{store, serve::ServiceConfig{.workers = 2}};
 
   const bidding::JobSpec job{Hours{execution_hours}, Hours::from_seconds(30.0)};

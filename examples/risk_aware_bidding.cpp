@@ -49,10 +49,11 @@ int main(int argc, char** argv) {
   const double safe_sd = safe.use_on_demand
                              ? 0.0
                              : std::sqrt(bidding::persistent_cost_variance(model, safe.bid, job));
+  char safe_bid[32] = "(on-demand)";
+  if (!safe.use_on_demand) std::snprintf(safe_bid, sizeof safe_bid, "$%f", safe.bid.usd());
   std::printf("variance-capped:         bid %s  E[cost] $%.4f  sd $%.5f  "
               "E[completion] %.2f h\n",
-              safe.use_on_demand ? "(on-demand)" : ("$" + std::to_string(safe.bid.usd())).c_str(),
-              safe.expected_cost.usd(), safe_sd, safe.expected_completion.hours());
+              safe_bid, safe.expected_cost.usd(), safe_sd, safe.expected_completion.hours());
 
   // 3. Deadline: t_s + 1 h with 98% confidence.
   const Hours deadline{hours + 1.0};

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <type_traits>
 #include <vector>
 
 #include "spotbid/core/types.hpp"
@@ -39,17 +38,20 @@ namespace detail {
 
 inline constexpr double kGoldenRatio = 0.6180339887498948482;  // (sqrt(5) - 1) / 2
 
-/// Shared body of the golden_section overloads: templated on the callable
-/// so optimizer inner loops (512-1024 objective evaluations per bid
-/// decision) invoke the objective directly instead of through
-/// std::function's type-erased dispatch.
+}  // namespace detail
+
+/// Golden-section search on [lo, hi]. Converges to a local minimum; exact
+/// for unimodal f. Throws spotbid::InvalidArgument if lo > hi. Templated on
+/// the callable so optimizer inner loops (512-1024 objective evaluations per
+/// bid decision) invoke the objective directly.
 template <class F>
-MinimizeResult golden_section_impl(F& f, double lo, double hi, const MinimizeOptions& options) {
+[[nodiscard]] MinimizeResult golden_section(F&& f, double lo, double hi,
+                                            const MinimizeOptions& options = {}) {
   if (!(lo <= hi)) throw InvalidArgument{"golden_section: lo > hi"};
   double a = lo;
   double b = hi;
-  double x1 = b - kGoldenRatio * (b - a);
-  double x2 = a + kGoldenRatio * (b - a);
+  double x1 = b - detail::kGoldenRatio * (b - a);
+  double x2 = a + detail::kGoldenRatio * (b - a);
   double f1 = f(x1);
   double f2 = f(x2);
 
@@ -60,13 +62,13 @@ MinimizeResult golden_section_impl(F& f, double lo, double hi, const MinimizeOpt
       b = x2;
       x2 = x1;
       f2 = f1;
-      x1 = b - kGoldenRatio * (b - a);
+      x1 = b - detail::kGoldenRatio * (b - a);
       f1 = f(x1);
     } else {
       a = x1;
       x1 = x2;
       f1 = f2;
-      x2 = a + kGoldenRatio * (b - a);
+      x2 = a + detail::kGoldenRatio * (b - a);
       f2 = f(x2);
     }
   }
@@ -77,10 +79,18 @@ MinimizeResult golden_section_impl(F& f, double lo, double hi, const MinimizeOpt
   return result;
 }
 
-/// Shared body of the grid_then_golden overloads (see golden_section_impl).
+/// Brent's parabolic-interpolation minimizer on [lo, hi]; same contract as
+/// golden_section but usually far fewer evaluations on smooth objectives.
+[[nodiscard]] MinimizeResult brent_minimize(const std::function<double(double)>& f, double lo,
+                                            double hi, const MinimizeOptions& options = {});
+
+/// Robust global 1-D minimization: evaluate f on an n_grid-point grid, then
+/// refine around the best grid cell with golden-section. Handles objectives
+/// with plateaus or several local minima (e.g. costs built on step-function
+/// ECDFs) at the cost of n_grid extra evaluations.
 template <class F>
-MinimizeResult grid_then_golden_impl(F& f, double lo, double hi, int n_grid,
-                                     const MinimizeOptions& options) {
+[[nodiscard]] MinimizeResult grid_then_golden(F&& f, double lo, double hi, int n_grid = 256,
+                                              const MinimizeOptions& options = {}) {
   if (!(lo <= hi)) throw InvalidArgument{"grid_then_golden: lo > hi"};
   n_grid = std::max(n_grid, 2);
   int best = 0;
@@ -96,49 +106,13 @@ MinimizeResult grid_then_golden_impl(F& f, double lo, double hi, int n_grid,
   const double cell = (hi - lo) / n_grid;
   const double a = std::max(lo, lo + (best - 1) * cell);
   const double b = std::min(hi, lo + (best + 1) * cell);
-  MinimizeResult refined = golden_section_impl(f, a, b, options);
+  MinimizeResult refined = golden_section(f, a, b, options);
   if (best_f < refined.f) {
     refined.x = lo + best * cell;
     refined.f = best_f;
   }
   refined.iterations += n_grid + 1;
   return refined;
-}
-
-}  // namespace detail
-
-/// Golden-section search on [lo, hi]. Converges to a local minimum; exact
-/// for unimodal f. Throws spotbid::InvalidArgument if lo > hi.
-[[nodiscard]] MinimizeResult golden_section(const std::function<double(double)>& f, double lo,
-                                            double hi, const MinimizeOptions& options = {});
-
-/// Templated overload: identical algorithm, no std::function dispatch.
-/// (Callers passing a std::function lvalue still get the non-template
-/// overload — overload resolution prefers the exact non-template match.)
-template <class F, std::enable_if_t<std::is_invocable_r_v<double, F&, double>, int> = 0>
-[[nodiscard]] MinimizeResult golden_section(F&& f, double lo, double hi,
-                                            const MinimizeOptions& options = {}) {
-  return detail::golden_section_impl(f, lo, hi, options);
-}
-
-/// Brent's parabolic-interpolation minimizer on [lo, hi]; same contract as
-/// golden_section but usually far fewer evaluations on smooth objectives.
-[[nodiscard]] MinimizeResult brent_minimize(const std::function<double(double)>& f, double lo,
-                                            double hi, const MinimizeOptions& options = {});
-
-/// Robust global 1-D minimization: evaluate f on an n_grid-point grid, then
-/// refine around the best grid cell with golden-section. Handles objectives
-/// with plateaus or several local minima (e.g. costs built on step-function
-/// ECDFs) at the cost of n_grid extra evaluations.
-[[nodiscard]] MinimizeResult grid_then_golden(const std::function<double(double)>& f, double lo,
-                                              double hi, int n_grid = 256,
-                                              const MinimizeOptions& options = {});
-
-/// Templated overload of grid_then_golden (see the golden_section one).
-template <class F, std::enable_if_t<std::is_invocable_r_v<double, F&, double>, int> = 0>
-[[nodiscard]] MinimizeResult grid_then_golden(F&& f, double lo, double hi, int n_grid = 256,
-                                              const MinimizeOptions& options = {}) {
-  return detail::grid_then_golden_impl(f, lo, hi, n_grid, options);
 }
 
 /// Options for Nelder-Mead.

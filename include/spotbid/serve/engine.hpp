@@ -3,30 +3,16 @@
 /// \file engine.hpp
 /// Pure request-execution engine: (snapshot, request) -> response.
 ///
-/// Two paths answer the same questions:
+/// Every request runs one code path: per-kind validation, then the model
+/// queries it needs (O(log K) CDF / partial-expectation lookups on empirical
+/// laws, answered from prefix arrays) feeding the eq. 8/10/13/14/15 closed
+/// forms, or one of the Prop. 4/5 and portfolio optimizers.
 ///
-///  - execute_one: the scalar reference path — per-point CDF / partial-
-///    expectation queries (O(log K) each on empirical laws, PR 4's prefix
-///    arrays) feeding the eq. 8/10/13/14/15 closed forms;
-///  - execute_batch: the micro-batcher's path for a group of SAME-KEY
-///    requests — it gathers every query point the group needs, answers
-///    them through Empirical::cdf_many / partial_expectation_many in one
-///    sorted knot sweep, and feeds the identical closed-form arithmetic.
-///
-/// Contract: execute_batch is BIT-identical to calling execute_one per
-/// request (enforced by tests and bench_serve). This holds because the
-/// batch query plane is bit-identical to the scalar one (PR 4's contract)
-/// and both paths share the same downstream arithmetic helpers. Requests
-/// whose kind has no batchable query point (kOptimalBid runs an optimizer,
-/// kProviderPrice a closed form) fall through to the scalar path inside
-/// the batch.
-///
-/// Adaptive dispatch: the sorted knot sweep pays an O(Q log Q) sort before
-/// it saves anything over Q independent O(log K) binary searches, so below
-/// kSweepMinBatch query points execute_batch answers every request through
-/// the scalar path (plus one batched metrics flush — the tallies, not the
-/// payloads, are where a small batch's overhead lives). Either way the
-/// responses are bit-identical; only the constant factor moves.
+///  - execute_one answers a single request;
+///  - execute_batch answers a group of SAME-KEY requests (the micro-batcher's
+///    unit) through that same path, request by request, and flushes the
+///    per-kind / per-status tallies once per group instead of twice per
+///    request. Its responses are therefore bit-identical to execute_one's.
 ///
 /// The engine never throws for malformed requests: parameter violations
 /// yield Status::kInvalid, unknown snapshots Status::kNotFound, and any
@@ -41,16 +27,12 @@
 
 namespace spotbid::serve {
 
-/// Fewest batchable query points for which execute_batch runs the sorted
-/// knot sweep instead of per-request binary searches (see file comment).
-inline constexpr std::size_t kSweepMinBatch = 4096;
-
 /// Answer one request against a snapshot (nullptr snapshot -> kNotFound).
 [[nodiscard]] Response execute_one(const ModelSnapshot* snapshot, const Request& request);
 
 /// Answer a group of requests that share one key against its snapshot.
 /// requests[i] is answered into responses[i]; the spans must have equal
-/// sizes. Bit-identical to execute_one per request (see file comment).
+/// sizes. Bit-identical to execute_one per request.
 void execute_batch(const ModelSnapshot* snapshot, std::span<const Request* const> requests,
                    std::span<Response> responses);
 

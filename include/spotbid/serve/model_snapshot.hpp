@@ -11,9 +11,7 @@
 ///  - the provider-side ProviderModel (Section 4): eq. 3 optimal pricing
 ///    for kProviderPrice queries;
 ///  - when the price law is an Empirical distribution, a borrowed pointer
-///    to it so the micro-batcher can use the PR-4 batch query plane
-///    (cdf_many / partial_expectation_many) instead of per-request
-///    binary searches.
+///    to it, through which snapshot_io persists the law's samples.
 ///
 /// Snapshots are immutable after publication: all state is set at
 /// construction except the epoch stamp, which SnapshotStore::publish writes
@@ -62,8 +60,8 @@ class ModelSnapshot {
   [[nodiscard]] const bidding::SpotPriceModel& model() const { return model_; }
   [[nodiscard]] const provider::ProviderModel& provider() const { return provider_; }
 
-  /// The price law as an Empirical distribution when it is one (enables
-  /// the batched knot sweep), nullptr for analytic laws.
+  /// The price law as an Empirical distribution when it is one, nullptr
+  /// for analytic laws (snapshot_io persists an empirical law's samples).
   [[nodiscard]] const dist::Empirical* empirical() const { return empirical_; }
 
   /// Publication epoch: 0 until the snapshot is published, then the

@@ -5,20 +5,20 @@
 ///
 /// Execution model (docs/SERVE.md has the full walkthrough):
 ///
-///  - submit() pushes a request onto a bounded MPMC queue and returns a
-///    future for its response;
+///  - submit(request, done) pushes a request onto a bounded MPMC queue with
+///    a completion that receives its response. It is the one admission
+///    path: the future-returning submit() and ask() wrap it;
 ///  - backpressure: when the queue reaches the high watermark the service
 ///    enters an overloaded state and submit() rejects immediately with
-///    Status::kOverloaded (a ready future — the caller never blocks on an
-///    overloaded service); the state clears only once workers drain the
-///    queue to the low watermark (hysteresis, so admission does not
-///    flap around the threshold);
+///    Status::kOverloaded (the completion runs before submit returns — the
+///    caller never blocks on an overloaded service); the state clears only
+///    once workers drain the queue to the low watermark (hysteresis, so
+///    admission does not flap around the threshold);
 ///  - workers run on a dedicated core::ThreadPool. Each worker drains up
 ///    to max_batch queued requests per wake-up ("one tick"), groups them
 ///    by key, resolves each key against the store once, and executes each
-///    group through engine::execute_batch — same-key bursts hit the PR-4
-///    sorted knot sweep and pay one snapshot lookup instead of one per
-///    request;
+///    group through engine::execute_batch — a same-key burst pays one
+///    snapshot lookup and one metrics flush instead of one per request;
 ///  - stop() (and the destructor) drains: every accepted request is
 ///    answered exactly once before the workers join; requests submitted
 ///    after stop() get Status::kShutdown. No accepted request is ever
@@ -77,24 +77,24 @@ class BidService {
   BidService(const BidService&) = delete;
   BidService& operator=(const BidService&) = delete;
 
-  /// Enqueue a request. The returned future is always valid: it resolves
-  /// with the engine's response once a worker processes the request, or
+  /// Invoked exactly once with a request's response. Admitted requests
+  /// complete on whichever thread executes them (a worker, or the
+  /// poll_once()/stop() caller); rejected ones (kOverloaded / kShutdown)
+  /// complete synchronously inside submit.
+  using Completion = std::function<void(Response)>;
+
+  /// Enqueue a request; `done` receives its response. This is the only
+  /// code that admits a request. No service lock is held while `done`
+  /// runs, so the completion may re-enter the service — the epoll event
+  /// loop's completion channel relies on that.
+  void submit(Request request, Completion done);
+
+  /// Future flavour of submit: a wrapper whose completion resolves the
+  /// returned future, which is therefore always valid — it resolves with
+  /// the engine's response once a worker processes the request, or
   /// immediately with kOverloaded / kShutdown when the request was not
   /// admitted.
   [[nodiscard]] std::future<Response> submit(Request request);
-
-  /// A completion handed back instead of a future: invoked exactly once
-  /// with the response. Admitted requests complete on whichever thread
-  /// executes them (a worker, or the poll_once()/stop() caller); rejected
-  /// ones (kOverloaded / kShutdown) complete synchronously inside submit.
-  using Completion = std::function<void(Response)>;
-
-  /// Callback flavour of submit for callers that must never block on a
-  /// future — the epoll event loop's completion channel. No service lock
-  /// is held while `done` runs, so the completion may re-enter the
-  /// service. Same admission and exactly-once guarantees as the future
-  /// overload.
-  void submit(Request request, Completion done);
 
   /// Synchronous convenience: submit and wait.
   [[nodiscard]] Response ask(Request request);
@@ -106,8 +106,8 @@ class BidService {
 
   /// Drain every accepted request, answer it, and join the workers. Any
   /// requests still queued after the join (possible only under
-  /// start_workers = false) are executed inline, so accepted futures always
-  /// resolve with a real response. Idempotent; implied by the destructor.
+  /// start_workers = false) are executed inline, so every accepted request
+  /// completes with a real response. Idempotent; implied by the destructor.
   void stop();
 
   [[nodiscard]] int workers() const { return workers_; }
@@ -123,8 +123,7 @@ class BidService {
  private:
   struct Item {
     Request request;
-    std::promise<Response> promise;
-    Completion done;  ///< when set, resolves the item instead of the promise
+    Completion done;
   };
 
   void worker_loop();

@@ -434,17 +434,13 @@ void write_summary(std::ostream& os, const Snapshot& snapshot) {
   std::vector<std::array<std::string, 4>> rows;
   rows.push_back({"metric", "kind", "count", "value"});
   for (const auto& metric : snapshot.metrics) {
-    std::array<std::string, 4> row;
-    row[0] = metric.name;
-    row[1] = std::string{kind_name(metric.kind)};
+    std::array<std::string, 4> row{metric.name, std::string{kind_name(metric.kind)}, "-", "-"};
     switch (metric.kind) {
       case Kind::kCounter:
         row[2] = std::to_string(metric.count);
-        row[3] = "-";
         break;
       case Kind::kSum:
       case Kind::kGauge: {
-        row[2] = "-";
         std::ostringstream value;
         value << std::setprecision(6) << metric.value;
         row[3] = value.str();

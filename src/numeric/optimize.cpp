@@ -14,11 +14,6 @@ constexpr double kGolden = detail::kGoldenRatio;
 
 }  // namespace
 
-MinimizeResult golden_section(const std::function<double(double)>& f, double lo, double hi,
-                              const MinimizeOptions& options) {
-  return detail::golden_section_impl(f, lo, hi, options);
-}
-
 MinimizeResult brent_minimize(const std::function<double(double)>& f, double lo, double hi,
                               const MinimizeOptions& options) {
   SPOTBID_EXPECT(lo <= hi, "brent_minimize: lo > hi");
@@ -85,11 +80,6 @@ MinimizeResult brent_minimize(const std::function<double(double)>& f, double lo,
     }
   }
   return result;
-}
-
-MinimizeResult grid_then_golden(const std::function<double(double)>& f, double lo, double hi,
-                                int n_grid, const MinimizeOptions& options) {
-  return detail::grid_then_golden_impl(f, lo, hi, n_grid, options);
 }
 
 SimplexResult nelder_mead(const std::function<double(const std::vector<double>&)>& f,

@@ -6,13 +6,11 @@
 #include <exception>
 #include <limits>
 #include <string>
-#include <vector>
 
 #include "spotbid/bidding/cost.hpp"
 #include "spotbid/bidding/strategies.hpp"
 #include "spotbid/core/contracts.hpp"
 #include "spotbid/core/metrics.hpp"
-#include "spotbid/dist/empirical.hpp"
 #include "spotbid/portfolio/strategy.hpp"
 
 namespace spotbid::serve {
@@ -62,10 +60,9 @@ Response invalid_response(const ModelSnapshot& snapshot, const Request& request)
 }
 
 // ---------------------------------------------------------------------------
-// Per-kind validation. Shared by the scalar and batch paths so both classify
-// a request identically, and run BEFORE any model query so malformed
-// parameters (NaN bids, negative times) surface as kInvalid instead of
-// tripping the model-layer contracts.
+// Per-kind validation. Runs BEFORE any model query so malformed parameters
+// (NaN bids, negative times) surface as kInvalid instead of tripping the
+// model-layer contracts.
 
 bool run_length_valid(const Request& q) { return std::isfinite(q.bid.usd()); }
 
@@ -116,12 +113,9 @@ bool portfolio_valid(const Request& q) {
 }
 
 // ---------------------------------------------------------------------------
-// Closed-form arithmetic shared by BOTH execution paths. Each helper takes
-// the model queries (f = F(bid), a = A(bid)) as inputs; the scalar path
-// computes them per request, the batch path through the one-sweep batch
-// query plane — which is bit-identical by PR 4's contract, so routing both
-// paths through these helpers is what makes execute_batch bit-identical to
-// execute_one. The expressions mirror src/bidding/cost.cpp term for term.
+// Closed-form arithmetic. Each helper takes the model queries (f = F(bid),
+// a = A(bid)) as inputs, answered per request by the snapshot's model. The
+// expressions mirror src/bidding/cost.cpp term for term.
 
 Response answer_run_length(const ModelSnapshot& snapshot, const Request& q, double f) {
   Response r = base_response(snapshot, q);
@@ -264,8 +258,8 @@ Response answer_portfolio(const ModelSnapshot& snapshot, const Request& q) {
   return r;
 }
 
-/// Scalar dispatch without metrics (the public entry points tally).
-Response run_scalar(const ModelSnapshot& snapshot, const Request& q) {
+/// Per-kind dispatch without metrics (the public entry points tally).
+Response answer(const ModelSnapshot& snapshot, const Request& q) {
   try {
     switch (q.kind) {
       case Kind::kRunLength:
@@ -285,8 +279,6 @@ Response run_scalar(const ModelSnapshot& snapshot, const Request& q) {
         if (!provider_price_valid(q)) return invalid_response(snapshot, q);
         return answer_provider_price(snapshot, q);
       case Kind::kPortfolioBid:
-        // Optimizer kind: scalar path only (batchable() excludes it), so
-        // the 1-vs-N-worker bit-identity holds by construction.
         if (!portfolio_valid(q)) return invalid_response(snapshot, q);
         return answer_portfolio(snapshot, q);
     }
@@ -307,18 +299,11 @@ Response not_found_response(const Request& q) {
   return r;
 }
 
-/// Whether the batch path can gather this request's model queries into the
-/// one-sweep batch query plane (validity checked separately).
-bool batchable(Kind kind) {
-  return kind == Kind::kRunLength || kind == Kind::kExpectedCost ||
-         kind == Kind::kPersistentFeasibility;
-}
-
 }  // namespace
 
 Response execute_one(const ModelSnapshot* snapshot, const Request& request) {
   request_counter(request.kind).increment();
-  Response r = snapshot == nullptr ? not_found_response(request) : run_scalar(*snapshot, request);
+  Response r = snapshot == nullptr ? not_found_response(request) : answer(*snapshot, request);
   status_counter(r.status).increment();
   return r;
 }
@@ -328,104 +313,21 @@ void execute_batch(const ModelSnapshot* snapshot, std::span<const Request* const
   SPOTBID_EXPECT(requests.size() == responses.size(),
                  "execute_batch: requests/responses size mismatch");
   // Per-kind / per-status tallies flushed in one Counter::add each: two
-  // atomic increments per request are a measurable slice of a ~40ns scalar
-  // query, and the deterministic totals are unchanged by batching them.
+  // atomic increments per request are a measurable slice of a ~40 ns
+  // closed-form query, and the deterministic totals are unchanged by
+  // batching them.
   std::array<std::uint64_t, kKindCount> kind_tally{};
   std::array<std::uint64_t, kStatusCount> status_tally{};
-  const auto flush_tallies = [&] {
-    for (std::size_t k = 0; k < kKindCount; ++k)
-      if (kind_tally[k] != 0) request_counter(static_cast<Kind>(k)).add(kind_tally[k]);
-    for (std::size_t s = 0; s < kStatusCount; ++s)
-      if (status_tally[s] != 0)
-        status_counter(static_cast<Status>(s)).add(status_tally[s]);
-  };
-
-  if (snapshot == nullptr) {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      ++kind_tally[static_cast<std::size_t>(requests[i]->kind)];
-      responses[i] = not_found_response(*requests[i]);
-      ++status_tally[static_cast<std::size_t>(responses[i].status)];
-    }
-    flush_tallies();
-    return;
-  }
-
-  const dist::Empirical* empirical = snapshot->empirical();
-  // Adaptive dispatch: below kSweepMinBatch query points the sweep's
-  // O(Q log Q) sort costs more than Q O(log K) binary searches, so small
-  // batches run the scalar path (bit-identical either way).
-  const bool sweep = empirical != nullptr && requests.size() >= kSweepMinBatch;
-
-  // Pass 1: route. Valid batchable requests against an empirical law gather
-  // their query points; everything else (optimizer kinds, analytic laws,
-  // invalid parameters, sub-threshold batches) takes the scalar path
-  // immediately.
-  struct Gathered {
-    std::size_t index;
-    double f = 0.0;
-    double a = 0.0;
-  };
-  std::vector<Gathered> gathered;
-  if (sweep) gathered.reserve(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const Request& q = *requests[i];
     ++kind_tally[static_cast<std::size_t>(q.kind)];
-    const bool gather =
-        sweep && batchable(q.kind) &&
-        (q.kind == Kind::kRunLength              ? run_length_valid(q)
-         : q.kind == Kind::kExpectedCost         ? expected_cost_valid(q)
-                                                 : feasibility_valid(q));
-    if (gather) {
-      gathered.push_back(Gathered{i});
-    } else {
-      responses[i] = run_scalar(*snapshot, q);
-    }
-  }
-
-  if (!gathered.empty()) {
-    // Pass 2: answer every F(bid) — and, for cost queries, A(bid) — in one
-    // sorted knot sweep each (bit-identical to the scalar queries).
-    std::vector<double> xs(gathered.size());
-    std::vector<double> fs(gathered.size());
-    for (std::size_t j = 0; j < gathered.size(); ++j)
-      xs[j] = requests[gathered[j].index]->bid.usd();
-    empirical->cdf_many(xs, fs);
-    for (std::size_t j = 0; j < gathered.size(); ++j) gathered[j].f = fs[j];
-
-    std::vector<double> pe_xs;
-    std::vector<std::size_t> pe_pos;
-    for (std::size_t j = 0; j < gathered.size(); ++j) {
-      if (requests[gathered[j].index]->kind == Kind::kExpectedCost) {
-        pe_xs.push_back(xs[j]);
-        pe_pos.push_back(j);
-      }
-    }
-    if (!pe_xs.empty()) {
-      std::vector<double> as(pe_xs.size());
-      empirical->partial_expectation_many(pe_xs, as);
-      for (std::size_t j = 0; j < pe_pos.size(); ++j) gathered[pe_pos[j]].a = as[j];
-    }
-
-    // Pass 3: the same closed-form helpers the scalar path uses.
-    for (const Gathered& g : gathered) {
-      const Request& q = *requests[g.index];
-      switch (q.kind) {
-        case Kind::kRunLength:
-          responses[g.index] = answer_run_length(*snapshot, q, g.f);
-          break;
-        case Kind::kExpectedCost:
-          responses[g.index] = answer_expected_cost(*snapshot, q, g.f, g.a);
-          break;
-        default:
-          responses[g.index] = answer_feasibility(*snapshot, q, g.f);
-          break;
-      }
-    }
-  }
-
-  for (std::size_t i = 0; i < responses.size(); ++i)
+    responses[i] = snapshot == nullptr ? not_found_response(q) : answer(*snapshot, q);
     ++status_tally[static_cast<std::size_t>(responses[i].status)];
-  flush_tallies();
+  }
+  for (std::size_t k = 0; k < kKindCount; ++k)
+    if (kind_tally[k] != 0) request_counter(static_cast<Kind>(k)).add(kind_tally[k]);
+  for (std::size_t s = 0; s < kStatusCount; ++s)
+    if (status_tally[s] != 0) status_counter(static_cast<Status>(s)).add(status_tally[s]);
 }
 
 }  // namespace spotbid::serve

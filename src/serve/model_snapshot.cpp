@@ -12,10 +12,9 @@ ModelSnapshot::ModelSnapshot(std::string key, bidding::SpotPriceModel model,
                              provider::ProviderModel provider)
     : key_(std::move(key)), model_(std::move(model)), provider_(std::move(provider)) {
   SPOTBID_EXPECT(!key_.empty(), "ModelSnapshot: key must be non-empty");
-  // Borrow the empirical law when there is one: the engine's batch path
-  // needs the concrete type for cdf_many / partial_expectation_many. The
-  // pointer shares lifetime with model_'s DistributionPtr, which this
-  // snapshot owns.
+  // Borrow the empirical law when there is one: snapshot_io needs the
+  // concrete type to persist its samples. The pointer shares lifetime with
+  // model_'s DistributionPtr, which this snapshot owns.
   empirical_ = dynamic_cast<const dist::Empirical*>(&model_.distribution());
 }
 

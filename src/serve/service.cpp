@@ -1,6 +1,7 @@
 #include "spotbid/serve/service.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -71,67 +72,42 @@ BidService::BidService(const SnapshotStore& store, ServiceConfig config)
 BidService::~BidService() { stop(); }
 
 std::future<Response> BidService::submit(Request request) {
-  std::promise<Response> promise;
-  std::future<Response> future = promise.get_future();
-
-  bool notify = false;
-  {
-    const std::lock_guard<std::mutex> lock{mutex_};
-    if (stopping_) {
-      promise.set_value(unadmitted_response(request, Status::kShutdown));
-      return future;
-    }
-    if (overloaded_) {
-      ++rejected_;
-      sm().rejected.increment();
-      promise.set_value(unadmitted_response(request, Status::kOverloaded));
-      return future;
-    }
-    queue_.push_back(Item{std::move(request), std::move(promise), {}});
-    ++accepted_;
-    sm().accepted.increment();
-    if (queue_.size() >= config_.high_watermark) {
-      overloaded_ = true;
-      sm().overload_entries.increment();
-    }
-    notify = true;
-  }
-  if (notify) ready_.notify_one();
+  auto promise = std::make_shared<std::promise<Response>>();
+  std::future<Response> future = promise->get_future();
+  submit(std::move(request),
+         [promise](Response response) { promise->set_value(std::move(response)); });
   return future;
 }
 
 void BidService::submit(Request request, Completion done) {
-  bool rejected_now = false;
-  Status rejected_status = Status::kShutdown;
-  bool notify = false;
+  Status rejected_status = Status::kOk;
+  bool admitted = false;
   {
     const std::lock_guard<std::mutex> lock{mutex_};
     if (stopping_) {
-      rejected_now = true;
       rejected_status = Status::kShutdown;
     } else if (overloaded_) {
       ++rejected_;
       sm().rejected.increment();
-      rejected_now = true;
       rejected_status = Status::kOverloaded;
     } else {
-      Item item;
-      item.request = std::move(request);
-      item.done = std::move(done);
-      queue_.push_back(std::move(item));
+      queue_.push_back(Item{std::move(request), std::move(done)});
       ++accepted_;
       sm().accepted.increment();
       if (queue_.size() >= config_.high_watermark) {
         overloaded_ = true;
         sm().overload_entries.increment();
       }
-      notify = true;
+      admitted = true;
     }
+  }
+  if (admitted) {
+    ready_.notify_one();
+    return;
   }
   // The rejection completion runs outside the lock: it may re-enter the
   // service or touch its own synchronization (the epoll shard's inbox).
-  if (rejected_now) done(unadmitted_response(request, rejected_status));
-  if (notify) ready_.notify_one();
+  done(unadmitted_response(request, rejected_status));
 }
 
 Response BidService::ask(Request request) { return submit(std::move(request)).get(); }
@@ -146,8 +122,8 @@ void BidService::stop() {
   // return when stopping_ is set AND the queue is empty, so every accepted
   // request has been answered by the time the join completes. Under manual
   // dispatch (start_workers = false) there are no workers, so whatever is
-  // still queued is executed inline here — accepted futures always resolve
-  // with a real engine response, never a broken promise.
+  // still queued is executed inline here — every accepted request completes
+  // with a real engine response.
   pool_.reset();
   while (drain_tick()) {
   }
@@ -209,7 +185,7 @@ bool BidService::drain_tick() {
 
   // Group the tick's requests by key (order-preserving within a key via
   // stable_sort), resolve each key against the store once, and answer each
-  // group through the batch engine path in one knot sweep.
+  // group through execute_batch with one tally flush.
   std::vector<std::size_t> order(batch.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -231,13 +207,8 @@ bool BidService::drain_tick() {
     for (std::size_t i = start; i < end; ++i) group.push_back(&batch[order[i]].request);
     responses.assign(group.size(), Response{});
     execute_batch(snapshot.get(), group, responses);
-    for (std::size_t i = start; i < end; ++i) {
-      Item& item = batch[order[i]];
-      if (item.done)
-        item.done(std::move(responses[i - start]));
-      else
-        item.promise.set_value(std::move(responses[i - start]));
-    }
+    for (std::size_t i = start; i < end; ++i)
+      batch[order[i]].done(std::move(responses[i - start]));
 
     start = end;
   }

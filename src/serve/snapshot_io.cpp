@@ -1,6 +1,7 @@
 #include "spotbid/serve/snapshot_io.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -59,11 +60,13 @@ struct Writer {
   std::vector<std::uint8_t> bytes;
 
   void u8(std::uint8_t v) { bytes.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  void u32(std::uint32_t v) { put_le(v, 4); }
+  void u64(std::uint64_t v) { put_le(v, 8); }
+  /// The low `width` bytes of v, least significant first.
+  void put_le(std::uint64_t v, std::size_t width) {
+    std::array<std::uint8_t, 8> buf{};
+    for (std::size_t i = 0; i < width; ++i) buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    bytes.insert(bytes.end(), buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(width));
   }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void str(std::string_view s) {

@@ -172,7 +172,11 @@ TEST_P(RandomDag, CompletesAndRespectsOrdering) {
     const int width = 1 + static_cast<int>(rng.uniform_index(3));
     for (int i = 0; i < width; ++i) {
       workflow::TaskSpec task;
-      task.name = "L" + std::to_string(layer) + "#" + std::to_string(i);
+      // Appends only: gcc 12 at -O3 reports a false -Wrestrict on
+      // `"L" + std::to_string(...)`.
+      task.name = "L";
+      task.name += std::to_string(layer) + '#';
+      task.name += std::to_string(i);
       const double slots = 1.0 + static_cast<double>(rng.uniform_index(4));
       total_work_slots += slots;
       task.execution_time = Hours{slots * kTk};

@@ -5,8 +5,8 @@
 //  - Distribution::cdf_left must be an exact left limit at atoms;
 //  - the GeneralizedPricer knot sweep must never score below the
 //    grid_then_golden reference it replaced;
-//  - the SpotPriceModel cached scalars and the templated optimizer
-//    overloads must agree with the values they cache/replace.
+//  - the SpotPriceModel cached scalars must agree with the values they
+//    cache.
 
 #include <gtest/gtest.h>
 
@@ -311,23 +311,6 @@ TEST(QueryPlane, SpotPriceModelFinitizesUnboundedSupport) {
   EXPECT_TRUE(std::isinf(model.support_hi().usd()));
   EXPECT_TRUE(std::isfinite(model.max_bid().usd()));
   EXPECT_EQ(model.max_bid().usd(), std::min(law->quantile(1.0 - 1e-9), 0.35));
-}
-
-TEST(QueryPlane, TemplatedOptimizersMatchTheTypeErasedOverloads) {
-  const auto quartic = [](double x) { return std::pow(x - 0.3, 4.0) + 0.1 * x; };
-  const std::function<double(double)> erased = quartic;
-
-  const auto golden_t = numeric::golden_section(quartic, -1.0, 1.0);
-  const auto golden_f = numeric::golden_section(erased, -1.0, 1.0);
-  EXPECT_EQ(golden_t.x, golden_f.x);
-  EXPECT_EQ(golden_t.f, golden_f.f);
-  EXPECT_EQ(golden_t.iterations, golden_f.iterations);
-
-  const auto grid_t = numeric::grid_then_golden(quartic, -1.0, 1.0, 128);
-  const auto grid_f = numeric::grid_then_golden(erased, -1.0, 1.0, 128);
-  EXPECT_EQ(grid_t.x, grid_f.x);
-  EXPECT_EQ(grid_t.f, grid_f.f);
-  EXPECT_EQ(grid_t.iterations, grid_f.iterations);
 }
 
 }  // namespace

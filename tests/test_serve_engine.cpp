@@ -384,12 +384,43 @@ std::vector<Request> mixed_batch(const ModelSnapshot& snapshot) {
   return batch;
 }
 
+/// mixed_batch after at least 4,096 closed-form requests over a fine bid
+/// grid across (and beyond) the law's support: a group as large as any the
+/// engine has been asked to answer.
+std::vector<Request> large_mixed_batch(const ModelSnapshot& snapshot) {
+  const double lo = snapshot.model().support_lo().usd() * 0.5;
+  const double hi = snapshot.model().support_hi().usd() * 1.5;
+  std::vector<Request> batch;
+  for (int i = 0; i < 1024; ++i) {
+    const Money bid{lo + (hi - lo) * static_cast<double>(i) / 1023.0};
+    Request q = base_request(Kind::kRunLength);
+    q.bid = bid;
+    batch.push_back(q);
+
+    q = base_request(Kind::kPersistentFeasibility);
+    q.bid = bid;
+    batch.push_back(q);
+
+    for (const BidMode mode : {BidMode::kOneTime, BidMode::kPersistent}) {
+      q = base_request(Kind::kExpectedCost);
+      q.mode = mode;
+      q.bid = bid;
+      batch.push_back(q);
+    }
+  }
+  const std::vector<Request> mixed = mixed_batch(snapshot);
+  batch.insert(batch.end(), mixed.begin(), mixed.end());
+  return batch;
+}
+
 TEST(ServeEngine, BatchIsBitIdenticalToScalar) {
-  // The tentpole contract: micro-batched execution returns bit-identical
-  // payloads, on both the empirical (batched knot sweep) and analytic
-  // (scalar fallback) paths.
+  // Micro-batched execution returns bit-identical payloads for every kind,
+  // valid and invalid, in a group of over 4,096 requests, on both the
+  // empirical and the analytic law.
   for (const auto& snapshot : {empirical_snapshot(), analytic_snapshot()}) {
-    const std::vector<Request> batch = mixed_batch(*snapshot);
+    ASSERT_TRUE(std::isfinite(snapshot->model().support_hi().usd()));
+    const std::vector<Request> batch = large_mixed_batch(*snapshot);
+    ASSERT_GE(batch.size(), 4096u);
     std::vector<const Request*> pointers;
     pointers.reserve(batch.size());
     for (const Request& q : batch) pointers.push_back(&q);
@@ -403,42 +434,6 @@ TEST(ServeEngine, BatchIsBitIdenticalToScalar) {
                                     << ") diverged between batch and scalar execution";
     }
   }
-}
-
-TEST(ServeEngine, AdaptiveDispatchSweepsLargeBatchesOnly) {
-  // Below kSweepMinBatch requests execute_batch must take the scalar
-  // fallback (no sorted knot sweep — its O(Q log Q) sort would lose);
-  // at the threshold the sweep must run. Both sides stay bit-identical
-  // to execute_one, spot-checked on a stride through the batch.
-  const auto snapshot = empirical_snapshot();
-  metrics::set_enabled(true);
-  auto& sweeps = metrics::Registry::global().counter("dist.query.batch_sweeps");
-
-  const std::vector<Money> bids = bid_grid(*snapshot);
-  const auto sweeps_for = [&](std::size_t requests) {
-    std::vector<Request> batch;
-    batch.reserve(requests);
-    for (std::size_t i = 0; i < requests; ++i) {
-      Request q = base_request(Kind::kRunLength);
-      q.bid = bids[i % bids.size()];
-      batch.push_back(q);
-    }
-    std::vector<const Request*> pointers;
-    pointers.reserve(batch.size());
-    for (const Request& q : batch) pointers.push_back(&q);
-    std::vector<Response> responses(batch.size());
-    const std::uint64_t before = sweeps.value();
-    execute_batch(snapshot.get(), pointers, responses);
-    for (std::size_t i = 0; i < batch.size(); i += 257)
-      EXPECT_EQ(responses[i], execute_one(snapshot.get(), batch[i]))
-          << "request " << i << " diverged between batch and scalar execution";
-    return sweeps.value() - before;
-  };
-
-  EXPECT_EQ(sweeps_for(kSweepMinBatch - 1), 0u)
-      << "a sub-threshold batch must take the scalar fallback";
-  EXPECT_GE(sweeps_for(kSweepMinBatch), 1u)
-      << "a threshold-size batch must run the sorted knot sweep";
 }
 
 TEST(ServeEngine, BatchAgainstNullSnapshotIsAllNotFound) {

@@ -1,15 +1,17 @@
 // Tests for BidService: submission/response plumbing, worker-count
-// determinism, deterministic backpressure hysteresis (manual dispatch), and
-// drain-on-stop semantics.
+// determinism, deterministic backpressure hysteresis (manual dispatch),
+// drain-on-stop semantics, and the completion callbacks behind every submit.
 
 #include "spotbid/serve/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "spotbid/ec2/instance_types.hpp"
@@ -188,6 +190,95 @@ TEST(BidService, StopDrainsAcceptedRequests) {
   q.bid = Money{0.05};
   EXPECT_EQ(service.submit(q).get().status, Status::kShutdown);
   service.stop();  // idempotent
+}
+
+TEST(BidService, CallbackRejectionsCompleteInsideSubmit) {
+  // Manual dispatch: admission is a pure function of the submit/poll
+  // sequence. A rejected request's completion runs before submit returns,
+  // and may re-enter the service (no lock is held while it runs).
+  ServiceConfig config;
+  config.start_workers = false;
+  config.queue_capacity = 2;
+  BidService service{shared_store(), config};
+
+  Request q;
+  q.key = kKeyEast;
+  q.kind = Kind::kRunLength;
+  q.bid = Money{0.05};
+
+  std::vector<int> accepted_calls(2, 0);
+  for (int i = 0; i < 2; ++i)
+    service.submit(q, [&, i](Response r) {
+      EXPECT_EQ(r.status, Status::kOk);
+      ++accepted_calls[static_cast<std::size_t>(i)];
+    });
+  EXPECT_EQ(accepted_calls, (std::vector<int>{0, 0})) << "admitted requests wait for a tick";
+  ASSERT_TRUE(service.overloaded());
+
+  int overloaded_calls = 0;
+  service.submit(q, [&](Response r) {
+    EXPECT_EQ(r.status, Status::kOverloaded);
+    EXPECT_EQ(service.queue_depth(), 2u);
+    EXPECT_TRUE(service.overloaded());
+    ++overloaded_calls;
+  });
+  EXPECT_EQ(overloaded_calls, 1) << "the rejection completed before submit returned";
+  EXPECT_EQ(service.rejected(), 1u);
+
+  while (service.poll_once()) {
+  }
+  EXPECT_EQ(accepted_calls, (std::vector<int>{1, 1}));
+
+  service.stop();
+  int shutdown_calls = 0;
+  service.submit(q, [&](Response r) {
+    EXPECT_EQ(r.status, Status::kShutdown);
+    EXPECT_EQ(service.queue_depth(), 0u);
+    EXPECT_FALSE(service.overloaded());
+    ++shutdown_calls;
+  });
+  EXPECT_EQ(shutdown_calls, 1) << "the rejection completed before submit returned";
+
+  EXPECT_EQ(accepted_calls, (std::vector<int>{1, 1}));
+  EXPECT_EQ(overloaded_calls, 1);
+  EXPECT_EQ(service.accepted(), 2u);
+}
+
+TEST(BidService, WorkerCompletionsRunOnceAndMayReenterTheService) {
+  // Completions of admitted requests run on a worker thread, with no
+  // service lock held: one that calls back into the service must not
+  // deadlock, and each must run exactly once.
+  constexpr std::size_t kRequests = 512;
+  const std::vector<Request> requests = request_trace(kRequests);
+  ServiceConfig config;
+  config.workers = 2;
+  config.queue_capacity = kRequests + 1;
+  config.max_batch = 16;
+  BidService service{shared_store(), config};
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> calls(kRequests);
+  std::atomic<std::size_t> done{0};
+  std::atomic<bool> off_caller{true};
+  std::promise<void> all_done;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    service.submit(requests[i], [&, i](Response r) {
+      EXPECT_NE(r.status, Status::kOverloaded);
+      (void)service.queue_depth();
+      (void)service.overloaded();
+      if (std::this_thread::get_id() == caller) off_caller = false;
+      calls[i].fetch_add(1);
+      if (done.fetch_add(1) + 1 == kRequests) all_done.set_value();
+    });
+  }
+  ASSERT_EQ(all_done.get_future().wait_for(std::chrono::seconds{60}), std::future_status::ready)
+      << "a re-entrant completion deadlocked the service";
+  service.stop();
+
+  EXPECT_TRUE(off_caller.load()) << "admitted requests complete on a worker";
+  for (std::size_t i = 0; i < kRequests; ++i)
+    EXPECT_EQ(calls[i].load(), 1) << "completion " << i << " did not run exactly once";
+  EXPECT_EQ(service.accepted(), kRequests);
 }
 
 TEST(BidService, WatermarkDefaultsAreApplied) {
