@@ -109,5 +109,6 @@ void fig7_mapreduce();
 void provider_model();
 void ablation_sensitivity();
 void ext_section8();
+void ext_portfolio();
 
 }  // namespace spotbid::bench

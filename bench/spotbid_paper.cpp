@@ -1,8 +1,8 @@
 // The paper's evaluation in one executable: `spotbid_paper <figure>` runs
 // one reproduction (Fig. 3-7, Tables 3-4, the provider model, the
-// ablations or the Section-8 extensions), prints its result block and then
-// the run's metrics. With no argument or an unknown name it lists the
-// figure names on stderr and exits 2.
+// ablations, the Section-8 extensions or the portfolio extension), prints
+// its result block and then the run's metrics. With no argument or an
+// unknown name it lists the figure names on stderr and exits 2.
 
 #include <iostream>
 #include <string_view>
@@ -27,6 +27,7 @@ constexpr Figure kFigures[] = {
     {"provider_model", spotbid::bench::provider_model},
     {"ablation_sensitivity", spotbid::bench::ablation_sensitivity},
     {"ext_section8", spotbid::bench::ext_section8},
+    {"ext_portfolio", spotbid::bench::ext_portfolio},
 };
 
 }  // namespace

@@ -25,9 +25,11 @@
 /// (QueryPath::kFast). A naive O(K_knots) left-to-right scan that
 /// reproduces the Empirical constructor's accumulation expressions bit for
 /// bit is kept as the standing oracle (QueryPath::kOracle) — the
-/// fast-vs-oracle rule of DESIGN.md §5, enforced by bench_portfolio's
-/// bit-identity gate. Both paths share one binomial-tail routine, so any
-/// divergence is a query-plane bug, never binomial noise.
+/// fast-vs-oracle rule of DESIGN.md §5, enforced by the ctests
+/// DeadlineCalculator.FastAndOracleAgreeBitForBit and
+/// PortfolioStrategy.FastAndOracleDecisionsMatchBitForBit. Both paths share
+/// one binomial-tail routine, so any divergence is a query-plane bug,
+/// never binomial noise.
 
 #include <cstdint>
 #include <span>

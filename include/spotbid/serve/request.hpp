@@ -108,7 +108,7 @@ struct Request {
 
 /// One answer. Which payload fields are meaningful depends on the request
 /// kind (unused fields keep their zero defaults, so whole-struct equality
-/// is the bit-identity check the determinism bench uses):
+/// is the bit-identity check the determinism tests use):
 ///  - kOptimalBid:            bid, expected_cost, expected_hours
 ///                            (completion), acceptance, use_on_demand
 ///  - kExpectedCost:          expected_cost, expected_hours (completion for

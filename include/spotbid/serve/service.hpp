@@ -22,8 +22,9 @@
 ///  - stop() (and the destructor) drains: every accepted request is
 ///    answered exactly once before the workers join; requests submitted
 ///    after stop() get Status::kShutdown. No accepted request is ever
-///    lost or answered twice — bench_serve's overload stage enforces
-///    this under injected overload.
+///    lost or answered twice — BidService.BackpressureHysteresisIsExact
+///    (manual dispatch) and BidService.ThreadedSoakConservesEveryRequest
+///    (live workers) enforce this under overload.
 ///
 /// Determinism contract: a response's payload is a pure function of the
 /// request and the snapshot that answered it — never of the worker count,
@@ -62,7 +63,7 @@ struct ServiceConfig {
   std::size_t max_batch = 64;
   /// When false no worker threads are started and the owner drives
   /// execution through poll_once() — this makes queue/backpressure state
-  /// fully deterministic (tests, and bench_serve's overload injection).
+  /// fully deterministic (BidService.BackpressureHysteresisIsExact).
   bool start_workers = true;
 };
 

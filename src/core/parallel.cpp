@@ -45,8 +45,8 @@ ParallelMetrics& pm() {
 /// locking, condition-variable wake-ups, and cache-cold starts — tens of
 /// microseconds end to end before the first helper touches an index. A
 /// range whose total work is below that budget loses by going parallel
-/// (the regression bench_parallel once recorded speedup 0.65 on exactly
-/// such a configuration). parallel_for therefore times a small inline
+/// (a pooled fig5-style sweep once measured speedup 0.65 on exactly such
+/// a configuration). parallel_for therefore times a small inline
 /// probe of the range on the calling thread, estimates the per-item cost,
 /// and finishes inline unless the remaining work can pay for the dispatch.
 /// The probe runs real indices — every index still executes exactly once,

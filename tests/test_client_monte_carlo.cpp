@@ -1,7 +1,8 @@
 // Tests for the Monte-Carlo replication engine: the derive_seed(parent, i)
 // seeding scheme, bit-identical results and reductions across thread
-// counts (including the full experiment harness), and a stress test of
-// concurrent Rng replica streams for the tsan preset.
+// counts (including the full experiment harness) and with metrics on or
+// off, and a stress test of concurrent Rng replica streams for the tsan
+// preset.
 
 #include "spotbid/client/monte_carlo.hpp"
 
@@ -13,6 +14,7 @@
 
 #include "spotbid/client/experiment.hpp"
 #include "spotbid/client/job_runner.hpp"
+#include "spotbid/core/metrics.hpp"
 #include "spotbid/market/price_source.hpp"
 #include "spotbid/provider/calibration.hpp"
 
@@ -93,6 +95,12 @@ TEST(MonteCarlo, ReductionFoldsInReplicaOrder) {
   const double serial = folded(1);
   EXPECT_EQ(serial, folded(2));
   EXPECT_EQ(serial, folded(0));
+  // Metrics only record: switching them off moves no bit of the fold.
+  const bool was_enabled = metrics::enabled();
+  metrics::set_enabled(!was_enabled);
+  const double toggled = folded(0);
+  metrics::set_enabled(was_enabled);
+  EXPECT_EQ(serial, toggled);
 }
 
 // The full Section-7 harness through the engine: the averaged outcome of

@@ -28,10 +28,10 @@ namespace {
 
 constexpr int kReplicas = 1000;
 
-/// Reset the global registry, run a fig5-style one-time-bid sweep (the
-/// bench_parallel measurement cell: Proposition-4 bid on r3.xlarge, 24 h
-/// job, independent market seeds) on `threads` threads, and return the
-/// deterministic subset of the resulting registry.
+/// Reset the global registry, run a fig5-style one-time-bid sweep
+/// (Proposition-4 bid on r3.xlarge, 24 h job, independent market seeds) on
+/// `threads` threads, and return the deterministic subset of the resulting
+/// registry.
 Snapshot sweep_snapshot(int threads) {
   Registry::global().reset();
 

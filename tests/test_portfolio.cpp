@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "spotbid/bidding/strategies.hpp"
@@ -245,7 +246,7 @@ TEST(PortfolioStrategy, FastAndOracleDecisionsMatchBitForBit) {
   const auto model = empirical_model(2048);
   const PortfolioStrategy fast{model, QueryPath::kFast};
   const PortfolioStrategy oracle{model, QueryPath::kOracle};
-  for (const int levels : {1, 4, 8}) {
+  for (const int levels : {1, 2, 4, 8, 16}) {
     const PortfolioQuery query{bidding::JobSpec{Hours{8.0}, Hours{0.5}}, Hours{24.0},
                                /*epsilon=*/0.05, levels};
     EXPECT_EQ(fast.optimize(query), oracle.optimize(query)) << "K=" << levels;
@@ -280,43 +281,50 @@ TEST(PortfolioStrategy, RejectsMalformedQueries) {
   }
 }
 
-/// Monte Carlo cross-check (the bench runs the big version; this is the
-/// fast regression guard): simulate the model's own independence
+/// Monte Carlo cross-check: simulate the model's own independence
 /// assumptions — per-tranche iid slot prices, a win when the sampled price
 /// is at or below the bid — and compare the observed miss frequency with
-/// the claimed violation probability.
+/// the claimed violation probability, on an empirical and an analytic law.
 TEST(PortfolioStrategy, MonteCarloConfirmsClaimedViolation) {
-  const auto model = empirical_model(2048);
-  const PortfolioStrategy strategy{model};
+  const std::pair<const char*, bidding::SpotPriceModel> laws[] = {
+      {"empirical", empirical_model(2048)}, {"log-normal", analytic_model()}};
   const Hours execution{8.0};
-  const PortfolioQuery query{bidding::JobSpec{execution, Hours{0.5}}, Hours{24.0},
-                             /*epsilon=*/0.2, /*levels=*/4};
-  const PortfolioDecision decision = strategy.optimize(query);
-  ASSERT_GT(decision.level_count, 0);
+  for (const auto& [law, model] : laws) {
+    const PortfolioStrategy strategy{model};
+    const DeadlineCalculator calc{model, Hours{24.0}};
+    const int horizon = calc.horizon_slots();
+    for (const double epsilon : {0.2, 0.05}) {
+      for (const int levels : {1, 4, 8}) {
+        const PortfolioQuery query{bidding::JobSpec{execution, Hours{0.5}}, Hours{24.0},
+                                   epsilon, levels};
+        const PortfolioDecision decision = strategy.optimize(query);
+        ASSERT_GT(decision.level_count, 0);
 
-  const DeadlineCalculator calc{model, query.deadline};
-  const int horizon = calc.horizon_slots();
-  const int rounds = 4000;
-  numeric::Rng rng{20150817};
-  int misses = 0;
-  for (int r = 0; r < rounds; ++r) {
-    bool missed = false;
-    for (int k = 0; k < decision.level_count; ++k) {
-      const Level level = decision.levels[static_cast<std::size_t>(k)];
-      const int need = calc.required_slots(level.share, execution);
-      if (need <= 0) continue;
-      int wins = 0;
-      for (int s = 0; s < horizon; ++s) {
-        if (model.quantile(rng.uniform()).usd() <= level.bid.usd()) ++wins;
+        const int rounds = 4000;
+        numeric::Rng rng{20150817};
+        int misses = 0;
+        for (int r = 0; r < rounds; ++r) {
+          bool missed = false;
+          for (int k = 0; k < decision.level_count; ++k) {
+            const Level level = decision.levels[static_cast<std::size_t>(k)];
+            const int need = calc.required_slots(level.share, execution);
+            if (need <= 0) continue;
+            int wins = 0;
+            for (int s = 0; s < horizon; ++s) {
+              if (model.quantile(rng.uniform()).usd() <= level.bid.usd()) ++wins;
+            }
+            if (wins < need) missed = true;
+          }
+          if (missed) ++misses;
+        }
+        const double simulated = static_cast<double>(misses) / rounds;
+        const double sigma =
+            std::sqrt(std::max(decision.violation * (1.0 - decision.violation), 1e-6) / rounds);
+        EXPECT_NEAR(simulated, decision.violation, 3.0 * sigma + 0.01)
+            << law << " law, eps " << epsilon << ", K " << levels;
       }
-      if (wins < need) missed = true;
     }
-    if (missed) ++misses;
   }
-  const double simulated = static_cast<double>(misses) / rounds;
-  const double sigma =
-      std::sqrt(std::max(decision.violation * (1.0 - decision.violation), 1e-6) / rounds);
-  EXPECT_NEAR(simulated, decision.violation, 3.0 * sigma + 0.01);
 }
 
 }  // namespace

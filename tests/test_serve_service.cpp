@@ -1,6 +1,8 @@
 // Tests for BidService: submission/response plumbing, worker-count
 // determinism, deterministic backpressure hysteresis (manual dispatch),
-// drain-on-stop semantics, and the completion callbacks behind every submit.
+// request conservation under a threaded soak, every answer OK while a
+// Recalibrator republishes, drain-on-stop semantics, and the completion
+// callbacks behind every submit.
 
 #include "spotbid/serve/service.hpp"
 
@@ -8,14 +10,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "spotbid/core/metrics.hpp"
 #include "spotbid/ec2/instance_types.hpp"
 #include "spotbid/serve/engine.hpp"
+#include "spotbid/serve/recalibrator.hpp"
 #include "spotbid/trace/generator.hpp"
 
 namespace spotbid::serve {
@@ -95,18 +100,40 @@ TEST(BidService, UnknownKeyResolvesNotFound) {
   EXPECT_EQ(service.ask(q).status, Status::kNotFound);
 }
 
+/// The deterministic serve.* metrics: deterministic() minus every other
+/// subsystem's counters (dist.query.*, for one, vary with batch grouping).
+metrics::Snapshot serve_metrics() {
+  metrics::Snapshot out;
+  for (const auto& metric : metrics::Registry::global().snapshot().deterministic().metrics)
+    if (metric.name.starts_with("serve.")) out.metrics.push_back(metric);
+  return out;
+}
+
 TEST(BidService, ResponsesAreBitIdenticalAcrossWorkerCounts) {
   // The tentpole determinism contract at the service level: the same
   // request trace through 1 worker and through 8 workers (arbitrary
   // batch boundaries, arbitrary interleaving) yields bit-identical
-  // responses in submission order.
+  // responses in submission order, and the same serve.* metrics.
   const std::vector<Request> requests = request_trace(512);
+  (void)shared_store();  // its publishes land before the first reset
+  const bool was_enabled = metrics::enabled();
+  metrics::set_enabled(true);
+  metrics::Registry::global().reset();
   const std::vector<Response> one = run_through_service(requests, ServiceConfig{.workers = 1});
+  const metrics::Snapshot metrics_one = serve_metrics();
+  metrics::Registry::global().reset();
   const std::vector<Response> many =
       run_through_service(requests, ServiceConfig{.workers = 8, .max_batch = 7});
+  const metrics::Snapshot metrics_many = serve_metrics();
+  metrics::set_enabled(was_enabled);
+
   ASSERT_EQ(one.size(), many.size());
   for (std::size_t i = 0; i < one.size(); ++i)
     EXPECT_EQ(one[i], many[i]) << "response " << i << " depends on worker count";
+  EXPECT_TRUE(metrics_one == metrics_many) << "serve.* metrics depend on worker count";
+  const metrics::MetricSnapshot* answered = metrics_one.find("serve.responses.ok");
+  ASSERT_NE(answered, nullptr);
+  EXPECT_EQ(answered->count, requests.size());
 }
 
 TEST(BidService, BackpressureHysteresisIsExact) {
@@ -164,6 +191,94 @@ TEST(BidService, BackpressureHysteresisIsExact) {
   for (auto& f : accepted) EXPECT_EQ(f.get().status, Status::kOk);
   EXPECT_EQ(service.accepted(), 10u);
   EXPECT_EQ(service.rejected(), 5u);
+}
+
+TEST(BidService, ThreadedSoakConservesEveryRequest) {
+  // Four submitters against two live workers and a 64-deep queue: which
+  // requests are rejected depends on scheduling, but every submission is
+  // answered exactly once, OK if admitted and kOverloaded if not.
+  ServiceConfig config;
+  config.workers = 2;
+  config.queue_capacity = 64;
+  config.low_watermark = 16;
+  config.max_batch = 32;
+  BidService service{shared_store(), config};
+
+  constexpr int kSubmitters = 4;
+  constexpr int kPerSubmitter = 2500;
+  std::atomic<int> ok{0};
+  std::atomic<int> overloaded{0};
+  std::atomic<int> other{0};
+  std::vector<std::thread> submitters;
+  submitters.reserve(kSubmitters);
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      std::vector<std::future<Response>> futures;
+      futures.reserve(kPerSubmitter);
+      for (int i = 0; i < kPerSubmitter; ++i) {
+        Request q;
+        q.key = (t + i) % 2 == 0 ? kKeyEast : kKeyWest;
+        q.kind = Kind::kRunLength;
+        q.bid = Money{0.02 + 0.001 * static_cast<double>(i % 50)};
+        futures.push_back(service.submit(q));
+      }
+      for (auto& f : futures) {
+        switch (f.get().status) {
+          case Status::kOk: ok.fetch_add(1); break;
+          case Status::kOverloaded: overloaded.fetch_add(1); break;
+          default: other.fetch_add(1); break;
+        }
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+  service.stop();
+
+  EXPECT_EQ(other.load(), 0);
+  EXPECT_EQ(static_cast<std::uint64_t>(ok.load()), service.accepted());
+  EXPECT_EQ(static_cast<std::uint64_t>(overloaded.load()), service.rejected());
+  EXPECT_EQ(service.accepted() + service.rejected(),
+            static_cast<std::uint64_t>(kSubmitters * kPerSubmitter));
+}
+
+TEST(Recalibrator, ServiceAnswersEveryRequestWhileAKeyRepublishes) {
+  // The closed loop: one key is rebuilt from a trace and republished every
+  // 2 ms while four workers answer the mixed trace over it and a static
+  // key. A swap mid-batch must never surface as a failed or epoch-less
+  // answer.
+  const auto& east = ec2::require_type("r3.xlarge");
+  trace::GeneratorConfig generator;
+  generator.slots = 12 * 24 * 7;
+  const auto rolling = trace::generate_for_type(east, generator);
+
+  SnapshotStore store;
+  store.publish(ModelSnapshot::from_type(kKeyWest, ec2::require_type("m3.xlarge")));
+  Recalibrator recalibrator{store, std::chrono::milliseconds{2}};
+  recalibrator.add_source([&] { return ModelSnapshot::from_trace(kKeyEast, rolling, east); });
+  recalibrator.refresh_now();
+  recalibrator.start();
+
+  // Answer the trace until at least two republishes overlapped it.
+  const std::vector<Request> requests = request_trace(1024);
+  BidService service{store, ServiceConfig{.workers = 4, .queue_capacity = requests.size() + 1}};
+  const std::uint64_t first_round = recalibrator.rounds();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{5};
+  int passes = 0;
+  do {
+    std::vector<std::future<Response>> futures;
+    futures.reserve(requests.size());
+    for (const Request& q : requests) futures.push_back(service.submit(q));
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      const Response r = futures[i].get();
+      ASSERT_EQ(r.status, Status::kOk) << "pass " << passes << ", request " << i;
+      ASSERT_GE(r.epoch, 1u) << "pass " << passes << ", request " << i;
+    }
+    ++passes;
+  } while (recalibrator.rounds() < first_round + 2 &&
+           std::chrono::steady_clock::now() < deadline);
+  service.stop();
+  recalibrator.stop();
+  EXPECT_GE(recalibrator.rounds(), first_round + 2);
 }
 
 TEST(BidService, StopDrainsAcceptedRequests) {

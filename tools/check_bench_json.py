@@ -1,12 +1,8 @@
 #!/usr/bin/env python3
 """Validate a bench JSON artifact against tools/bench_schema.json.
 
-The schema is an anyOf over the known bench documents, discriminated by
-the top-level "benchmark" const: "fig5_onetime_sweep" (bench_parallel's
-BENCH_spotbid.json), "query_plane" (bench_query_plane's
-BENCH_query_plane.json), "serve" (bench_serve's BENCH_serve.json),
-"loadgen" (bench_loadgen's BENCH_loadgen.json), and "portfolio"
-(bench_portfolio's BENCH_portfolio.json).
+The schema describes one document: bench_loadgen's BENCH_loadgen.json
+(top-level "benchmark": "loadgen").
 
 Stdlib only (CI installs no Python packages), so this implements the small
 JSON-Schema subset the schema file actually uses:
@@ -16,14 +12,9 @@ JSON-Schema subset the schema file actually uses:
     additionalProperties (bool or schema), items, minimum, maximum, anyOf,
     and $ref into #/$defs.
 
-On top of the structural schema it cross-checks invariants a per-key schema
-cannot express: histogram bucket counts must add up to the histogram count,
-and the slot-weighted price histogram must cover exactly the simulated
-slots.
-
-The cross-checks that reference market/Monte-Carlo metrics use .get and
-skip silently when those metrics are absent (the query_plane document
-does not simulate a market).
+On top of the structural schema it cross-checks an invariant a per-key
+schema cannot express: histogram bucket counts must add up to the
+histogram count.
 
 Additionally, every key in the document's "metrics" object must appear in
 the docs/METRICS.md catalogue (placeholder rows like `serve.requests.<kind>`
@@ -146,23 +137,6 @@ def cross_checks(doc: dict, errors: list[str]) -> None:
                 f"metrics.{name}: bucket counts sum to {bucket_total}, "
                 f"count says {metric.get('count')}"
             )
-
-    price = metrics.get("market.spot_price_usd", {})
-    slots = metrics.get("market.slots", {})
-    if price.get("count") != slots.get("count"):
-        errors.append(
-            "metrics: market.spot_price_usd count "
-            f"({price.get('count')}) != market.slots count ({slots.get('count')}); "
-            "every simulated slot must contribute exactly one price observation"
-        )
-
-    mc = metrics.get("mc.replicas_completed", {})
-    requested = metrics.get("mc.replicas_requested", {})
-    if mc.get("count") != requested.get("count"):
-        errors.append(
-            "metrics: mc.replicas_completed "
-            f"({mc.get('count')}) != mc.replicas_requested ({requested.get('count')})"
-        )
 
 
 # Catalogue rows are `| `name` | kind | ...`; placeholder rows use
