@@ -1,6 +1,6 @@
 // Reproduction of Figure 5: the cost of a one-hour job under one-time spot
 // requests vs on-demand, per instance type — expected (analytic) cost,
-// measured cost over ten repetitions, and the retrospective-best-price
+// measured cost over twenty repetitions, and the retrospective-best-price
 // baseline. The paper reports up to 91% savings, with the analytic
 // predictions closely matching the measurements, and no interruptions.
 

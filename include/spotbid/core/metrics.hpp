@@ -73,7 +73,7 @@ inline std::atomic<bool>& enabled_flag() {
 }
 
 /// Override the SPOTBID_METRICS environment toggle at runtime (used by
-/// bench_loadgen and tests). Batches sample the flag when constructed.
+/// tests). Batches sample the flag when constructed.
 inline void set_enabled(bool on) {
   detail::enabled_flag().store(on, std::memory_order_relaxed);
 }
@@ -458,7 +458,7 @@ class Registry {
 
 /// Write a Snapshot as a JSON object: {"name": {"kind": ..., ...}, ...}.
 /// `indent` spaces prefix every line so the object can be embedded in a
-/// larger document (bench_loadgen embeds it in BENCH_loadgen.json).
+/// larger document.
 void write_json(std::ostream& os, const Snapshot& snapshot, int indent = 0);
 
 /// Write a Snapshot as flat CSV: metric,kind,field,value with one row per

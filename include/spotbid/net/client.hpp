@@ -5,7 +5,7 @@
 /// (docs/PROTOCOL.md). The constructor performs the HELLO handshake; then
 /// requests can be pipelined — send() any number of frames, receive() their
 /// replies, which the server returns in submission order. Not thread-safe:
-/// one client per thread (the loadgen runs one per connection worker).
+/// one client per thread.
 
 #include <cstdint>
 #include <string>

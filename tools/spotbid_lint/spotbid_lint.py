@@ -36,15 +36,12 @@ rests on, so this tool does:
 
   M — metrics consistency.  Every metric name passed to the registry
       (Registry::global().counter/sum/gauge/histogram/timer) must appear in
-      docs/METRICS.md with the same kind, and vice versa; metric keys named
-      by tools/bench_schema.json must be documented too.  Dynamic
+      docs/METRICS.md with the same kind, and vice versa.  Dynamic
       registrations built from a literal prefix ("serve.requests." + kind)
       match catalogue placeholder rows (`serve.requests.<kind>`).
         M-undocumented   registered in code, missing from docs/METRICS.md
         M-unregistered   documented, but no registration site found
         M-misclassified  registered kind != documented kind
-        M-schema-orphan  bench_schema.json names a metric the catalogue
-                         does not document
 
   S — serve concurrency discipline.  In src/serve + include/spotbid/serve:
         S-atomicptr   an AtomicPtr cell touched through anything but its
@@ -119,7 +116,6 @@ RULES = {
     "M-undocumented": "metric registered in code but missing from docs/METRICS.md",
     "M-unregistered": "metric documented in docs/METRICS.md but never registered",
     "M-misclassified": "registered metric kind disagrees with docs/METRICS.md",
-    "M-schema-orphan": "bench_schema.json metric key not documented in docs/METRICS.md",
     "S-atomicptr": "AtomicPtr cell accessed outside its load()/store() API",
     "S-stdatomic": "std::atomic<shared_ptr>/atomic_load in serve (use AtomicPtr)",
     "S-mutex": "lock primitive declared on the serve reader path",
@@ -839,37 +835,8 @@ def parse_metrics_doc(text: str) -> list[DocEntry]:
     return entries
 
 
-_METRIC_KEY_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
-
-
-def schema_metric_keys(schema: object) -> set[str]:
-    """All dotted metric keys the schema names, in 'properties' objects or
-    'required' arrays (the bench *_metrics defs use required + a generic
-    additionalProperties value schema)."""
-    keys: set[str] = set()
-
-    def walk(node: object) -> None:
-        if isinstance(node, dict):
-            for k, v in node.items():
-                if k == "properties" and isinstance(v, dict):
-                    for prop in v:
-                        if _METRIC_KEY_RE.match(prop):
-                            keys.add(prop)
-                elif k == "required" and isinstance(v, list):
-                    for item in v:
-                        if isinstance(item, str) and _METRIC_KEY_RE.match(item):
-                            keys.add(item)
-                walk(v)
-        elif isinstance(node, list):
-            for v in node:
-                walk(v)
-
-    walk(schema)
-    return keys
-
-
 def check_metrics(registrations: list[Registration], doc: list[DocEntry],
-                  schema_keys: set[str], doc_rel: str) -> list[Finding]:
+                  doc_rel: str) -> list[Finding]:
     out: list[Finding] = []
     exact_doc = {e.name: e for e in doc if not e.is_prefix}
     prefix_doc = [e for e in doc if e.is_prefix]
@@ -914,12 +881,6 @@ def check_metrics(registrations: list[Registration], doc: list[DocEntry],
         elif e.name not in reg_exact and not any(e.name.startswith(p) for p in reg_prefix):
             out.append(Finding(doc_rel, e.line, "M-unregistered",
                                f"documented metric '{e.name}' is never registered"))
-
-    for key in sorted(schema_keys):
-        if doc_for(key) is None:
-            out.append(Finding("tools/bench_schema.json", 1, "M-schema-orphan",
-                               f"schema names metric '{key}' which docs/METRICS.md "
-                               "does not document"))
     return out
 
 
@@ -1318,17 +1279,7 @@ def main(argv: list[str]) -> int:
             doc_entries = parse_metrics_doc(f.read())
         registrations = [r for scan in scans.values()
                          for r in collect_registrations(scan)]
-        schema_path = os.path.join(root, "tools", "bench_schema.json")
-        skeys: set[str] = set()
-        if os.path.isfile(schema_path):
-            try:
-                with open(schema_path, encoding="utf-8") as f:
-                    skeys = schema_metric_keys(json.load(f))
-            except (OSError, json.JSONDecodeError) as e:
-                print(f"spotbid-lint: cannot parse tools/bench_schema.json: {e}",
-                      file=sys.stderr)
-                return 2
-        findings.extend(check_metrics(registrations, doc_entries, skeys, doc_rel))
+        findings.extend(check_metrics(registrations, doc_entries, doc_rel))
 
     # C — contract coverage over the contract modules.
     header_scans = [(scan, contract_module(rel)) for rel, scan in scans.items()
