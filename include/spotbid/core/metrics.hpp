@@ -456,10 +456,9 @@ class Registry {
   std::unordered_map<std::string, std::size_t> index_;
 };
 
-/// Write a Snapshot as a JSON object: {"name": {"kind": ..., ...}, ...}.
-/// `indent` spaces prefix every line so the object can be embedded in a
-/// larger document.
-void write_json(std::ostream& os, const Snapshot& snapshot, int indent = 0);
+/// Write a Snapshot as a JSON object, one metric per line:
+/// {"name": {"kind": ..., ...}, ...}.
+void write_json(std::ostream& os, const Snapshot& snapshot);
 
 /// Write a Snapshot as flat CSV: metric,kind,field,value with one row per
 /// scalar field and per histogram bucket.

@@ -1,9 +1,11 @@
 #pragma once
 
 /// \file epoll_server.hpp
-/// The scalable spotbid TCP front-end: a sharded epoll event loop serving
-/// the same wire protocol as net::Server with a fixed thread budget
-/// instead of two threads per connection (docs/PROTOCOL.md §8).
+/// The spotbid TCP front-end: a sharded epoll event loop serving the
+/// docs/PROTOCOL.md wire protocol with a fixed thread budget. It is the
+/// only place the protocol's frames are dispatched: one REQUEST frame maps
+/// 1:1 onto one serve::Request whose reply comes back on the same
+/// connection in submission order (PROTOCOL §5).
 ///
 /// Threading model: N I/O shard threads (default = hardware concurrency),
 /// each owning one epoll instance. Accepted connections are assigned
@@ -23,10 +25,8 @@
 /// over the same eventfd channel, so response encoding also happens on
 /// the shard thread.
 ///
-/// Byte-for-byte contract: for a given frame sequence, replies are
-/// bit-identical to net::Server's (the blocking oracle) — both route
-/// through the same wire codec and the same BidService. CI diffs
-/// spotbidd_probe dumps across the two servers to enforce it.
+/// The server owns no model state: it is a codec shim over a BidService,
+/// which owns admission control, batching and determinism (docs/SERVE.md).
 
 #include <atomic>
 #include <cstdint>
@@ -46,8 +46,6 @@ struct EpollServerConfig {
   std::uint16_t port = 0;
   /// I/O shard threads (0 = hardware concurrency, at least 1).
   int shards = 0;
-  /// Most events one epoll_wait returns per wake-up (a drain tick bound).
-  int max_events = 256;
 };
 
 class EpollServer {
@@ -55,7 +53,7 @@ class EpollServer {
   /// Binds and listens immediately (so port() is valid and a client can
   /// connect as soon as the constructor returns); start() launches the
   /// shard threads. The service must outlive the server.
-  EpollServer(serve::BidService& service, EpollServerConfig config = {});
+  EpollServer(serve::BidService& service, const EpollServerConfig& config = {});
 
   /// stop()s if still running.
   ~EpollServer();
@@ -97,7 +95,6 @@ class EpollServer {
   void drain_and_close_all(Shard& shard);
 
   serve::BidService* service_;
-  EpollServerConfig config_;
   TcpListener listener_;
   int shard_count_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -1,16 +1,15 @@
 #pragma once
 
 /// \file socket.hpp
-/// Minimal RAII TCP wrappers for the daemon and its clients: a listener
-/// that accepts on an interruptible loop, and a stream with the two
-/// primitives a framed protocol needs — read exactly N bytes, write all of
-/// a buffer. IPv4 only (the daemon binds loopback or a single address; no
+/// Minimal RAII TCP wrappers for the daemon and its clients: a nonblocking
+/// listener for the epoll front-end, and a stream with the two primitives a
+/// blocking framed client needs — read exactly N bytes, write all of a
+/// buffer. IPv4 only (the daemon binds loopback or a single address; no
 /// name resolution beyond dotted quads and "localhost").
 ///
 /// Failure surfaces as SocketError (with errno text). A clean peer close at
 /// a frame boundary is not an error: read_exact returns false.
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -44,11 +43,7 @@ class TcpStream {
   /// Write the whole buffer (retrying short writes). Throws SocketError.
   void write_all(std::span<const std::uint8_t> buffer);
 
-  /// Shut down both directions: wakes a blocked read_exact on another
-  /// thread with EOF. Safe to call concurrently with reads/writes.
-  void shutdown() noexcept;
-
-  /// Switch the fd to O_NONBLOCK (the epoll event loop's readiness model;
+  /// Switch the fd to O_NONBLOCK (for a readiness-driven client loop;
   /// read_exact/write_all are no longer usable afterwards).
   void set_nonblocking();
 
@@ -60,43 +55,27 @@ class TcpStream {
   int fd_ = -1;
 };
 
-/// A bound, listening TCP socket.
+/// A bound, listening, nonblocking TCP socket (registered in an epoll set;
+/// accepts only through try_accept()).
 class TcpListener {
  public:
   /// Bind and listen on host:port; port 0 picks an ephemeral port (read it
   /// back with port()).
   TcpListener(const std::string& host, std::uint16_t port);
-  TcpListener(TcpListener&& other) noexcept;
-  TcpListener& operator=(TcpListener&&) = delete;
   TcpListener(const TcpListener&) = delete;
   TcpListener& operator=(const TcpListener&) = delete;
   ~TcpListener();
 
-  /// Wait up to timeout_ms for a connection (timeout_ms < 0 waits forever —
-  /// no polling wakeups; interrupt() still unblocks it through the internal
-  /// eventfd). Returns an invalid stream on timeout or after interrupt();
-  /// throws SocketError on hard errors.
-  [[nodiscard]] TcpStream accept(int timeout_ms);
-
   /// Accept without blocking: an invalid stream when no connection is
-  /// pending (the epoll path, where readiness was already reported).
+  /// pending (readiness was already reported by epoll).
   [[nodiscard]] TcpStream try_accept();
-
-  /// Unblock pending/future accept() calls; they return invalid streams.
-  void interrupt() noexcept;
-
-  /// Switch the listening fd to O_NONBLOCK (before registering it in an
-  /// epoll set; pair with try_accept()).
-  void set_nonblocking();
 
   [[nodiscard]] std::uint16_t port() const { return port_; }
   [[nodiscard]] int fd() const { return fd_; }
 
  private:
   int fd_ = -1;
-  int event_fd_ = -1;  ///< interrupt() wake channel for blocking accept()
   std::uint16_t port_ = 0;
-  std::atomic<bool> interrupted_{false};
 };
 
 }  // namespace spotbid::net

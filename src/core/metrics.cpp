@@ -367,14 +367,13 @@ std::string format_number(double value) {
 
 }  // namespace
 
-void write_json(std::ostream& os, const Snapshot& snapshot, int indent) {
-  const std::string pad(static_cast<std::size_t>(std::max(indent, 0)), ' ');
+void write_json(std::ostream& os, const Snapshot& snapshot) {
   os << "{";
   bool first = true;
   for (const auto& metric : snapshot.metrics) {
     if (!first) os << ",";
     first = false;
-    os << "\n" << pad << "  \"" << json_escape(metric.name) << "\": {\"kind\": \""
+    os << "\n  \"" << json_escape(metric.name) << "\": {\"kind\": \""
        << kind_name(metric.kind) << "\"";
     switch (metric.kind) {
       case Kind::kCounter: os << ", \"count\": " << metric.count; break;
@@ -399,7 +398,7 @@ void write_json(std::ostream& os, const Snapshot& snapshot, int indent) {
     }
     os << "}";
   }
-  if (!first) os << "\n" << pad;
+  if (!first) os << "\n";
   os << "}";
 }
 

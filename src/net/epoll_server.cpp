@@ -26,6 +26,9 @@ namespace {
 constexpr std::uint64_t kListenerTag = 0;
 constexpr std::uint64_t kEventFdTag = 1;
 
+/// Most events one epoll_wait returns per wake-up (a drain tick bound).
+constexpr int kMaxEvents = 256;
+
 /// Frames coalesced per writev call; kernels cap iovec counts at IOV_MAX
 /// (>= 1024 by POSIX) and a drain tick rarely readies more than this.
 constexpr std::size_t kMaxIov = 512;
@@ -33,10 +36,11 @@ constexpr std::size_t kMaxIov = 512;
 /// Bucket bounds for the writev coalescing histogram (frames per call).
 constexpr double kWritevBounds[] = {1.5, 2.5, 4.5, 8.5, 16.5, 32.5, 64.5, 128.5};
 
-/// Same counters as the blocking server (both front-ends feed one wire
-/// surface) plus the shard plumbing. Everything scheduling-dependent —
-/// wakeups, completion routing, write coalescing — carries a .sched.
-/// segment, excluded from metrics::Snapshot::deterministic().
+/// Wire-surface counters plus the shard plumbing. Everything
+/// scheduling-dependent — response-vs-error splits and output volume
+/// (they depend on overload timing), wakeups, completion routing, write
+/// coalescing — carries a .sched. segment, excluded from
+/// metrics::Snapshot::deterministic().
 struct EpollMetrics {
   metrics::Counter& connections;
   metrics::Counter& frames_hello;
@@ -137,23 +141,18 @@ struct EpollServer::Shard {
   void wake() { (void)::eventfd_write(event_fd, 1); }
 };
 
-EpollServer::EpollServer(serve::BidService& service, EpollServerConfig config)
+EpollServer::EpollServer(serve::BidService& service, const EpollServerConfig& config)
     : service_(&service),
-      config_(std::move(config)),
-      listener_(config_.host, config_.port) {
-  shard_count_ =
-      config_.shards > 0
-          ? config_.shards
-          : std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  if (config_.max_events < 1) config_.max_events = 1;
-}
+      listener_(config.host, config.port),
+      shard_count_(config.shards > 0
+                       ? config.shards
+                       : std::max(1, static_cast<int>(std::thread::hardware_concurrency()))) {}
 
 EpollServer::~EpollServer() { stop(); }
 
 void EpollServer::start() {
   if (started_) return;
   started_ = true;
-  listener_.set_nonblocking();
   for (int i = 0; i < shard_count_; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->index = i;
@@ -161,7 +160,7 @@ void EpollServer::start() {
     shard->event_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
     if (shard->epoll_fd < 0 || shard->event_fd < 0)
       throw SocketError{"epoll_create1/eventfd failed"};
-    shard->events.resize(static_cast<std::size_t>(config_.max_events));
+    shard->events.resize(kMaxEvents);
     epoll_event wake{};
     wake.events = EPOLLIN;
     wake.data.u64 = kEventFdTag;
@@ -198,7 +197,7 @@ void EpollServer::stop() {
 void EpollServer::shard_loop(Shard& shard) {
   for (;;) {
     const int count =
-        ::epoll_wait(shard.epoll_fd, shard.events.data(), config_.max_events, -1);
+        ::epoll_wait(shard.epoll_fd, shard.events.data(), kMaxEvents, -1);
     if (count < 0) {
       if (errno == EINTR) continue;
       break;  // epoll set torn down under us; only possible at shutdown
@@ -269,8 +268,7 @@ void EpollServer::process_inbox(Shard& shard) {
     // Tickets are dense, so the slot sits at its distance from the head.
     const std::uint64_t head = conn.replies.front().ticket;
     Ready& slot = conn.replies[completion.ticket - head];
-    // Status-to-frame mapping mirrors net::Server's write_loop exactly —
-    // the byte-for-byte contract between the two front-ends.
+    // Rejections surface as typed ERROR frames (PROTOCOL §4.4).
     const serve::Response& response = completion.response;
     switch (response.status) {
       case serve::Status::kOverloaded:
@@ -357,7 +355,7 @@ void EpollServer::on_readable(Shard& shard, Conn& conn) {
     }
     if (n == 0) {
       // Clean close from the peer: answer what is already in flight, then
-      // close once the reply queue drains (mirrors the blocking server).
+      // close once the reply queue drains.
       conn.reading_done = true;
       if (conn.replies.empty() && conn.carry_off >= conn.carry.size())
         destroy_conn(shard, id);
@@ -379,8 +377,8 @@ bool EpollServer::process_frames(Shard& shard, Conn& conn) {
     try {
       have = conn.assembler.next_payload(payload);
     } catch (const WireError& e) {
-      // Framing is lost; nothing further can be parsed. Same reply and
-      // close behaviour as the blocking reader's length-prefix error.
+      // Framing is lost; nothing further can be parsed: reply with a
+      // malformed error and close.
       em().decode_errors.increment();
       Ready slot;
       slot.ticket = conn.next_ticket++;
@@ -604,7 +602,7 @@ void EpollServer::destroy_conn(Shard& shard, std::uint64_t id) {
 
 void EpollServer::drain_and_close_all(Shard& shard) {
   // Push what the peers will take right now, then close. A peer that
-  // stopped reading loses its tail exactly as with the blocking server.
+  // stopped reading loses its undelivered tail.
   std::vector<std::uint64_t> ids;
   ids.reserve(shard.conns.size());
   for (const auto& [id, conn] : shard.conns) ids.push_back(id);

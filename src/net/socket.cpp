@@ -4,8 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -36,12 +34,6 @@ sockaddr_in make_address(const std::string& host, std::uint16_t port) {
 void disable_nagle(int fd) {
   int one = 1;
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-void make_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0)
-    fail("fcntl(O_NONBLOCK)");
 }
 
 }  // namespace
@@ -108,11 +100,11 @@ void TcpStream::write_all(std::span<const std::uint8_t> buffer) {
   }
 }
 
-void TcpStream::shutdown() noexcept {
-  if (fd_ >= 0) (void)::shutdown(fd_, SHUT_RDWR);
+void TcpStream::set_nonblocking() {
+  const int flags = ::fcntl(fd_, F_GETFL, 0);
+  if (flags < 0 || ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK) != 0)
+    fail("fcntl(O_NONBLOCK)");
 }
-
-void TcpStream::set_nonblocking() { make_nonblocking(fd_); }
 
 void TcpStream::close() noexcept {
   if (fd_ >= 0) {
@@ -123,7 +115,7 @@ void TcpStream::close() noexcept {
 
 TcpListener::TcpListener(const std::string& host, std::uint16_t port) {
   const sockaddr_in addr = make_address(host, port);
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd_ < 0) fail("socket");
   int one = 1;
   (void)::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -141,45 +133,10 @@ TcpListener::TcpListener(const std::string& host, std::uint16_t port) {
   // spotbid-lint: allow(S-net-rawwire) sockaddr is the kernel's ABI, not wire data
   if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len) != 0) fail("getsockname");
   port_ = ntohs(bound.sin_port);
-  // The interrupt wake channel: accept() blocks on {listener, eventfd}, so
-  // interrupt() never relies on a poll timeout (the old 50ms busy-wakeup).
-  event_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (event_fd_ < 0) {
-    const int saved = errno;
-    ::close(fd_);
-    fd_ = -1;
-    errno = saved;
-    fail("eventfd");
-  }
 }
-
-TcpListener::TcpListener(TcpListener&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      event_fd_(std::exchange(other.event_fd_, -1)),
-      port_(std::exchange(other.port_, 0)),
-      interrupted_(other.interrupted_.load()) {}
 
 TcpListener::~TcpListener() {
   if (fd_ >= 0) (void)::close(fd_);
-  if (event_fd_ >= 0) (void)::close(event_fd_);
-}
-
-TcpStream TcpListener::accept(int timeout_ms) {
-  if (interrupted_.load(std::memory_order_acquire)) return TcpStream{};
-  pollfd pfds[2] = {{fd_, POLLIN, 0}, {event_fd_, POLLIN, 0}};
-  const int ready = ::poll(pfds, 2, timeout_ms);
-  if (ready < 0) {
-    if (errno == EINTR) return TcpStream{};
-    fail("poll");
-  }
-  if (ready == 0 || interrupted_.load(std::memory_order_acquire)) return TcpStream{};
-  const int fd = ::accept(fd_, nullptr, nullptr);
-  if (fd < 0) {
-    if (errno == EINTR || errno == ECONNABORTED || errno == EINVAL) return TcpStream{};
-    fail("accept");
-  }
-  disable_nagle(fd);
-  return TcpStream{fd};
 }
 
 TcpStream TcpListener::try_accept() {
@@ -193,13 +150,5 @@ TcpStream TcpListener::try_accept() {
   disable_nagle(fd);
   return TcpStream{fd};
 }
-
-void TcpListener::interrupt() noexcept {
-  interrupted_.store(true, std::memory_order_release);
-  if (event_fd_ >= 0) (void)::eventfd_write(event_fd_, 1);
-  if (fd_ >= 0) (void)::shutdown(fd_, SHUT_RDWR);
-}
-
-void TcpListener::set_nonblocking() { make_nonblocking(fd_); }
 
 }  // namespace spotbid::net

@@ -1,11 +1,14 @@
-// Tests for the sharded epoll front-end: it must serve the identical wire
-// protocol as net::Server — bit-identical reply bytes for the same input
-// bytes — while multiplexing many connections onto a fixed thread budget.
-// Covers incremental reassembly over real TCP (frames dribbled one byte at
-// a time), pipelined submission-order replies (PROTOCOL §5), deterministic
-// overload errors under manual dispatch, malformed-stream rejection on the
-// nonblocking path, cross-shard fan-out, and a slow reader forcing short
-// writes through the carry buffer.
+// Tests for the sharded epoll front-end, the daemon's one wire front-end:
+// responses over the wire must be bit-identical to engine::execute_one, and
+// the reply bytes for a given input byte script must equal the frames the
+// wire codec encodes for it — HELLO negotiation, v1 and v2 bodies, typed
+// errors — while many connections share a fixed thread budget. Covers
+// incremental reassembly over real TCP (frames dribbled one byte at a
+// time), pipelined submission-order replies (PROTOCOL §5), deterministic
+// overload errors under manual dispatch, version negotiation and
+// mismatches, malformed-stream rejection on the nonblocking path,
+// cross-shard fan-out, and a slow reader forcing short writes through the
+// carry buffer.
 
 #include "spotbid/net/epoll_server.hpp"
 
@@ -20,7 +23,6 @@
 
 #include "spotbid/ec2/instance_types.hpp"
 #include "spotbid/net/client.hpp"
-#include "spotbid/net/server.hpp"
 #include "spotbid/net/wire.hpp"
 #include "spotbid/serve/engine.hpp"
 #include "spotbid/trace/generator.hpp"
@@ -93,8 +95,18 @@ TEST(EpollServer, EveryKindIsBitIdenticalToTheEngine) {
   }
 }
 
-/// Drive the identical byte script into a server and return every reply
-/// byte until the server closes the connection.
+TEST(EpollServer, UnknownKeyIsNotFoundNotAnErrorFrame) {
+  EpollDaemon daemon;
+  BidClient client{"127.0.0.1", daemon.server.port()};
+  serve::Request q = base_request(serve::Kind::kRunLength);
+  q.key = "nowhere/void.metal";
+  const serve::Response r = client.ask(q);
+  EXPECT_EQ(r.status, serve::Status::kNotFound);
+  EXPECT_EQ(r.kind, serve::Kind::kRunLength);
+}
+
+/// Drive a byte script into the server and return every reply byte until
+/// the server closes the connection.
 std::vector<std::uint8_t> reply_bytes(std::uint16_t port,
                                       const std::vector<std::uint8_t>& script) {
   TcpStream raw = TcpStream::connect("127.0.0.1", port);
@@ -105,39 +117,63 @@ std::vector<std::uint8_t> reply_bytes(std::uint16_t port,
   return all;
 }
 
-TEST(EpollServer, ReplyBytesMatchThreadedServerBitForBit) {
-  // Same stores, same service settings: the two front-ends must emit the
-  // exact same reply bytes for the same input bytes (the oracle contract
-  // CI also enforces end-to-end through spotbidd_probe).
-  EpollDaemon epoll_daemon;
-  serve::BidService threaded_service{test_store(), {}};
-  Server threaded_server{threaded_service};
-  threaded_server.start();
+void append(std::vector<std::uint8_t>& to, std::span<const std::uint8_t> bytes) {
+  to.insert(to.end(), bytes.begin(), bytes.end());
+}
 
+/// The message of the WireError `decode` throws: the text the server puts
+/// in its ERROR frame for the same bytes.
+template <class Decode>
+std::string wire_error_text(Decode decode) {
+  try {
+    decode();
+  } catch (const WireError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "the decoder accepted bytes the server must reject";
+  return {};
+}
+
+serve::Request portfolio_request() {
+  serve::Request q = base_request(serve::Kind::kPortfolioBid);
+  q.deadline = Hours{8.0};
+  q.epsilon = 0.05;
+  q.levels = 4;
+  return q;
+}
+
+/// A version-0 HELLO, hand-built: encode_hello refuses to make one.
+constexpr std::uint8_t kAncientHello[] = {10, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0};
+
+TEST(EpollServer, ReplyBytesMatchExpectedFramesBitForBit) {
+  // The reply stream for a pipelined script is exactly the concatenation of
+  // the frames the codec encodes for each answer, in submission order.
+  EpollDaemon daemon;
+  const auto snapshot = test_store().find("us-east-1/r3.xlarge");
+  ASSERT_NE(snapshot, nullptr);
   std::vector<std::uint8_t> script;
-  const auto append = [&script](const std::vector<std::uint8_t>& bytes) {
-    script.insert(script.end(), bytes.begin(), bytes.end());
-  };
-  append(encode_hello(1));
+  std::vector<std::uint8_t> expected;
+  append(script, encode_hello(1));
+  append(expected, encode_hello(1));
   serve::Request q = base_request(serve::Kind::kRunLength);
-  append(encode_request(2, q));
-  q.kind = serve::Kind::kExpectedCost;
-  append(encode_request(3, q));
-  q.kind = serve::Kind::kOptimalBid;
-  append(encode_request(4, q));
-  // End with an unrecoverable length prefix so both servers reply with a
-  // malformed error and close — giving the reader a natural EOF.
-  append({0xff, 0xff, 0xff, 0x7f});
+  std::uint64_t seq = 2;
+  for (const serve::Kind kind :
+       {serve::Kind::kRunLength, serve::Kind::kExpectedCost, serve::Kind::kOptimalBid}) {
+    q.kind = kind;
+    append(script, encode_request(seq, q));
+    append(expected, encode_response(seq, serve::execute_one(snapshot.get(), q)));
+    ++seq;
+  }
+  // End with an unrecoverable length prefix: a malformed error and a close,
+  // which gives the reader a natural EOF.
+  const std::vector<std::uint8_t> bad_prefix{0xff, 0xff, 0xff, 0x7f};
+  append(script, bad_prefix);
+  append(expected, encode_error(0, ErrorCode::kMalformed, wire_error_text([&] {
+                                  (void)decode_frame_length(
+                                      std::span<const std::uint8_t, 4>{bad_prefix.data(), 4});
+                                })));
 
-  const std::vector<std::uint8_t> from_epoll =
-      reply_bytes(epoll_daemon.server.port(), script);
-  const std::vector<std::uint8_t> from_threaded =
-      reply_bytes(threaded_server.port(), script);
-  EXPECT_EQ(from_epoll, from_threaded);
-  EXPECT_FALSE(from_epoll.empty());
-
-  threaded_server.stop();
-  threaded_service.stop();
+  EXPECT_EQ(reply_bytes(daemon.server.port(), script), expected);
 }
 
 TEST(EpollServer, PortfolioBidIsBitIdenticalToTheEngine) {
@@ -147,9 +183,7 @@ TEST(EpollServer, PortfolioBidIsBitIdenticalToTheEngine) {
   const auto snapshot = test_store().find("us-east-1/r3.xlarge");
   ASSERT_NE(snapshot, nullptr);
   for (const int levels : {1, 4, 8}) {
-    serve::Request q = base_request(serve::Kind::kPortfolioBid);
-    q.deadline = Hours{8.0};
-    q.epsilon = 0.05;
+    serve::Request q = portfolio_request();
     q.levels = static_cast<std::uint8_t>(levels);
     const serve::Response over_wire = client.ask(q);
     const serve::Response direct = serve::execute_one(snapshot.get(), q);
@@ -158,43 +192,133 @@ TEST(EpollServer, PortfolioBidIsBitIdenticalToTheEngine) {
   }
 }
 
-TEST(EpollServer, CrossVersionScriptMatchesThreadedServerBitForBit) {
-  // The negotiation and version-mismatch paths must also be byte-identical
-  // across front-ends: v1 HELLO (negotiates down), a v1 request (v1 reply
-  // bytes), portfolio_bid smuggled into a v1 frame (typed kVersionMismatch,
-  // connection survives), a v2 portfolio request, then a version-0 HELLO
-  // (below the floor: error + close, the script's natural EOF).
-  EpollDaemon epoll_daemon;
-  serve::BidService threaded_service{test_store(), {}};
-  Server threaded_server{threaded_service};
-  threaded_server.start();
-
+TEST(EpollServer, CrossVersionScriptMatchesExpectedFramesBitForBit) {
+  // The negotiation and version-mismatch paths byte for byte: v1 HELLO
+  // (negotiates down), a v1 request (v1 reply bytes), portfolio_bid
+  // smuggled into a v1 frame (typed kVersionMismatch, connection survives),
+  // a v2 portfolio request, then a version-0 HELLO (below the floor: error
+  // and close, the script's natural EOF).
+  EpollDaemon daemon;
+  const auto snapshot = test_store().find("us-east-1/r3.xlarge");
+  ASSERT_NE(snapshot, nullptr);
   std::vector<std::uint8_t> script;
-  const auto append = [&script](const std::vector<std::uint8_t>& bytes) {
-    script.insert(script.end(), bytes.begin(), bytes.end());
-  };
-  append(encode_hello(1, 1));
-  append(encode_request(2, base_request(serve::Kind::kRunLength), 1));
-  std::vector<std::uint8_t> smuggled =
-      encode_request(3, base_request(serve::Kind::kRunLength), 1);
-  smuggled[4 + 10 + 20] = static_cast<std::uint8_t>(serve::Kind::kPortfolioBid);
-  append(smuggled);
-  serve::Request portfolio = base_request(serve::Kind::kPortfolioBid);
-  portfolio.deadline = Hours{8.0};
-  portfolio.epsilon = 0.05;
-  portfolio.levels = 4;
-  append(encode_request(4, portfolio));
-  append({10, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0});  // version-0 HELLO
+  std::vector<std::uint8_t> expected;
+  append(script, encode_hello(1, 1));
+  append(expected, encode_hello(1, 1));
 
-  const std::vector<std::uint8_t> from_epoll =
-      reply_bytes(epoll_daemon.server.port(), script);
-  const std::vector<std::uint8_t> from_threaded =
-      reply_bytes(threaded_server.port(), script);
-  EXPECT_EQ(from_epoll, from_threaded);
-  EXPECT_FALSE(from_epoll.empty());
+  const serve::Request v1 = base_request(serve::Kind::kRunLength);
+  append(script, encode_request(2, v1, 1));
+  append(expected, encode_response(2, serve::execute_one(snapshot.get(), v1), 1));
 
-  threaded_server.stop();
-  threaded_service.stop();
+  std::vector<std::uint8_t> smuggled = encode_request(3, v1, 1);
+  smuggled[4 + 10 + 1 + v1.key.size()] = static_cast<std::uint8_t>(serve::Kind::kPortfolioBid);
+  append(script, smuggled);
+  const std::span<const std::uint8_t> smuggled_payload =
+      std::span<const std::uint8_t>{smuggled}.subspan(4);
+  append(expected, encode_error(3, ErrorCode::kVersionMismatch, wire_error_text([&] {
+                                  (void)decode_request_body(decode_frame(smuggled_payload));
+                                }),
+                                1));
+
+  const serve::Request portfolio = portfolio_request();
+  append(script, encode_request(4, portfolio));
+  append(expected, encode_response(4, serve::execute_one(snapshot.get(), portfolio)));
+
+  append(script, kAncientHello);
+  append(expected, encode_error(0, ErrorCode::kVersionMismatch,
+                                "server speaks versions " +
+                                    std::to_string(int{kMinProtocolVersion}) + ".." +
+                                    std::to_string(int{kProtocolVersion})));
+
+  EXPECT_EQ(reply_bytes(daemon.server.port(), script), expected);
+}
+
+/// Read one whole frame (length prefix + payload) off a raw stream.
+/// Callers must keep the returned vector alive while using the Frame a
+/// decode of it yields — Frame::body aliases these bytes.
+std::vector<std::uint8_t> read_frame(TcpStream& stream) {
+  std::uint8_t prefix[4];
+  EXPECT_TRUE(stream.read_exact(prefix));
+  std::vector<std::uint8_t> payload(
+      decode_frame_length(std::span<const std::uint8_t, 4>{prefix}));
+  EXPECT_TRUE(stream.read_exact(payload));
+  return payload;
+}
+
+TEST(EpollServer, V1ClientKeepsReceivingByteIdenticalV1Frames) {
+  // A v1 peer: HELLO at version 1 negotiates down, and every later reply
+  // arrives encoded at version 1 — byte-for-byte what the v1 server sent.
+  EpollDaemon daemon;
+  TcpStream raw = TcpStream::connect("127.0.0.1", daemon.server.port());
+  raw.write_all(encode_hello(0, 1));
+  const std::vector<std::uint8_t> hello_payload = read_frame(raw);
+  const Frame hello = decode_frame(hello_payload);
+  ASSERT_EQ(hello.type, FrameType::kHello);
+  EXPECT_EQ(hello.version, 1);  // min(client 1, server 2)
+
+  serve::Request q = base_request(serve::Kind::kRunLength);
+  raw.write_all(encode_request(7, q, 1));
+  const std::vector<std::uint8_t> payload = read_frame(raw);
+  const Frame reply = decode_frame(payload);
+  ASSERT_EQ(reply.type, FrameType::kResponse);
+  EXPECT_EQ(reply.version, 1);  // reply encoded at the request frame's version
+  const auto snapshot = test_store().find("us-east-1/r3.xlarge");
+  const serve::Response direct = serve::execute_one(snapshot.get(), q);
+  std::vector<std::uint8_t> expected = encode_response(7, direct, 1);
+  expected.erase(expected.begin(), expected.begin() + 4);  // drop length prefix
+  EXPECT_EQ(payload, expected);
+}
+
+TEST(EpollServer, PortfolioInV1FrameIsVersionMismatchWithoutClose) {
+  EpollDaemon daemon;
+  TcpStream raw = TcpStream::connect("127.0.0.1", daemon.server.port());
+  // A well-formed v1 request whose kind byte names portfolio_bid: the
+  // vocabulary needs v2, so the server answers kVersionMismatch — and the
+  // connection survives (unlike kMalformed).
+  const serve::Request q = base_request(serve::Kind::kRunLength);
+  std::vector<std::uint8_t> bytes = encode_request(9, q, 1);
+  bytes[4 + 10 + 1 + q.key.size()] = static_cast<std::uint8_t>(serve::Kind::kPortfolioBid);
+  raw.write_all(bytes);
+  const std::vector<std::uint8_t> reply_payload = read_frame(raw);
+  const Frame reply = decode_frame(reply_payload);
+  ASSERT_EQ(reply.type, FrameType::kError);
+  EXPECT_EQ(reply.seq, 9u);
+  EXPECT_EQ(decode_error_body(reply).code, ErrorCode::kVersionMismatch);
+  // The same connection still answers a valid request.
+  raw.write_all(encode_request(10, q, 1));
+  const std::vector<std::uint8_t> next_payload = read_frame(raw);
+  const Frame next = decode_frame(next_payload);
+  EXPECT_EQ(next.type, FrameType::kResponse);
+  EXPECT_EQ(next.seq, 10u);
+}
+
+TEST(EpollServer, AncientHelloIsRejectedAndClosed) {
+  EpollDaemon daemon;
+  TcpStream raw = TcpStream::connect("127.0.0.1", daemon.server.port());
+  // Below the version floor, nothing can be negotiated.
+  raw.write_all(kAncientHello);
+  const std::vector<std::uint8_t> reply_payload = read_frame(raw);
+  const Frame reply = decode_frame(reply_payload);
+  ASSERT_EQ(reply.type, FrameType::kError);
+  EXPECT_EQ(decode_error_body(reply).code, ErrorCode::kVersionMismatch);
+  std::uint8_t byte[1];
+  EXPECT_FALSE(raw.read_exact(byte));  // connection closed
+}
+
+TEST(EpollServer, FutureHelloNegotiatesDownToCurrent) {
+  EpollDaemon daemon;
+  TcpStream raw = TcpStream::connect("127.0.0.1", daemon.server.port());
+  // Version 3 HELLO from the future: the server offers its own version.
+  const std::vector<std::uint8_t> hello{10, 0, 0, 0, 3, 1, 0, 0, 0, 0, 0, 0, 0, 0};
+  raw.write_all(hello);
+  const std::vector<std::uint8_t> reply_payload = read_frame(raw);
+  const Frame reply = decode_frame(reply_payload);
+  ASSERT_EQ(reply.type, FrameType::kHello);
+  EXPECT_EQ(reply.version, kProtocolVersion);
+  // The connection goes on working at the negotiated version.
+  raw.write_all(encode_request(4, portfolio_request()));
+  const std::vector<std::uint8_t> next_payload = read_frame(raw);
+  EXPECT_EQ(decode_frame(next_payload).type, FrameType::kResponse);
 }
 
 TEST(EpollServer, FramesDribbledOneByteAtATime) {

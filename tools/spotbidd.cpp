@@ -5,14 +5,12 @@
 //   spotbidd --keys us-east-1/r3.xlarge,us-east-1/m3.xlarge
 //            [--host 127.0.0.1] [--port 0] [--port-file PATH]
 //            [--snapshot-dir DIR] [--workers N] [--queue-capacity N]
-//            [--recalibrate-ms MS] [--slots N] [--seed S]
-//            [--server-mode epoll|threaded] [--shards N]
+//            [--recalibrate-ms MS] [--slots N] [--seed S] [--shards N]
 //
-// Two wire front-ends serve the identical protocol (docs/PROTOCOL.md §8):
-// the default sharded epoll event loop (fixed thread budget, 10k+
-// connections) and the thread-per-connection server (--server-mode
-// threaded), kept as the byte-for-byte oracle — CI diffs spotbidd_probe
-// dumps across both.
+// The wire front-end is net::EpollServer, a sharded epoll event loop with a
+// fixed thread budget (docs/PROTOCOL.md §8). An unknown flag, a value that
+// is not a number or a number out of range prints the reason and the usage
+// text and exits 2 before anything is calibrated.
 //
 // Startup: if --snapshot-dir holds snapshots, they are warm-started
 // (bit-identical model reload, no calibration on the request path); any
@@ -25,20 +23,22 @@
 // queries keep their snapshot), persisting each rebuilt snapshot before
 // publication so the directory always holds the latest calibration.
 //
-// Shutdown: SIGINT/SIGTERM stops the acceptor, flushes queued replies,
+// Shutdown: SIGINT/SIGTERM stops accepting, flushes queued replies,
 // drains every admitted request (late submissions get SHUTTING_DOWN error
 // frames), persists a final snapshot set, and exits 0.
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,7 +47,6 @@
 
 #include "spotbid/ec2/instance_types.hpp"
 #include "spotbid/net/epoll_server.hpp"
-#include "spotbid/net/server.hpp"
 #include "spotbid/serve/model_snapshot.hpp"
 #include "spotbid/serve/recalibrator.hpp"
 #include "spotbid/serve/service.hpp"
@@ -63,40 +62,97 @@ std::atomic<int> g_signal{0};
 
 void handle_signal(int signum) { g_signal.store(signum); }
 
-/// --key value pairs plus boolean switches (same shape as spotbid_cli).
+/// A numeric flag: the range it accepts and its value when absent.
+struct NumericFlag {
+  const char* name;
+  std::int64_t min;
+  std::int64_t max;
+  std::int64_t fallback;
+};
+
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr NumericFlag kNumericFlags[] = {
+    {"port", 0, 65535, 0},
+    {"workers", 0, 1024, 0},
+    {"queue-capacity", 1, kIntMax, 1024},
+    {"recalibrate-ms", 0, kIntMax, 0},
+    {"slots", 1, kIntMax, 12 * 24 * 7},
+    {"seed", 0, std::numeric_limits<std::int64_t>::max(), 2015},
+    {"shards", 0, 1024, 0},
+};
+constexpr const char* kTextFlags[] = {"keys", "host", "port-file", "snapshot-dir"};
+
+/// The command line: `--help`, or `--flag value` pairs where every flag is
+/// known and every numeric value parses whole and lies in its range. The
+/// first violation is printed and leaves ok() false.
 class Args {
  public:
   Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "spotbidd: unexpected argument '%s'\n", key.c_str());
-        ok_ = false;
-        return;
+    for (int i = 1; i < argc && ok_; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--help") {
+        help_ = true;
+        continue;
       }
-      key = key.substr(2);
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
+      const std::string key = arg.rfind("--", 0) == 0 ? arg.substr(2) : "";
+      const NumericFlag* numeric = find_numeric(key);
+      const bool text = std::any_of(std::begin(kTextFlags), std::end(kTextFlags),
+                                    [&key](const char* name) { return key == name; });
+      if (numeric == nullptr && !text) {
+        reject("unknown argument '" + arg + "'");
+      } else if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+        reject(arg + " needs a value");
+      } else if (numeric == nullptr) {
+        texts_[key] = argv[++i];
       } else {
-        values_[key] = "";
+        parse_number(*numeric, argv[++i]);
       }
     }
   }
 
   [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] bool has(const std::string& key) const { return values_.count(key) > 0; }
+  [[nodiscard]] bool help() const { return help_; }
+  [[nodiscard]] bool has(const std::string& key) const { return texts_.count(key) > 0; }
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback = "") const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const auto it = texts_.find(key);
+    return it == texts_.end() ? fallback : it->second;
   }
-  [[nodiscard]] long number(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stol(it->second);
+  [[nodiscard]] std::int64_t number(const std::string& key) const {
+    const auto it = numbers_.find(key);
+    return it != numbers_.end() ? it->second : find_numeric(key)->fallback;
   }
 
  private:
-  std::map<std::string, std::string> values_;
+  [[nodiscard]] static const NumericFlag* find_numeric(const std::string& key) {
+    for (const NumericFlag& flag : kNumericFlags)
+      if (key == flag.name) return &flag;
+    return nullptr;
+  }
+
+  void reject(const std::string& reason) {
+    std::fprintf(stderr, "spotbidd: %s\n", reason.c_str());
+    ok_ = false;
+  }
+
+  void parse_number(const NumericFlag& flag, const std::string& text) {
+    std::int64_t value = 0;
+    const char* end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error == std::errc::invalid_argument || stop != end) {
+      reject("--" + std::string{flag.name} + " '" + text + "' is not a number");
+    } else if (error == std::errc::result_out_of_range || value < flag.min ||
+               value > flag.max) {
+      reject("--" + std::string{flag.name} + " " + text + " is out of range [" +
+             std::to_string(flag.min) + ", " + std::to_string(flag.max) + "]");
+    } else {
+      numbers_[flag.name] = value;
+    }
+  }
+
+  std::map<std::string, std::string> texts_;
+  std::map<std::string, std::int64_t> numbers_;
   bool ok_ = true;
+  bool help_ = false;
 };
 
 int usage() {
@@ -107,14 +163,13 @@ int usage() {
       "  --port P            TCP port; 0 picks an ephemeral port (default 0)\n"
       "  --port-file PATH    write the bound port here once listening\n"
       "  --snapshot-dir DIR  warm-start from DIR and persist snapshots to it\n"
-      "  --workers N         service worker threads (0 = hardware default)\n"
-      "  --queue-capacity N  admission queue bound (default 1024)\n"
+      "  --workers N         service worker threads, 0..1024 (0 = hardware default)\n"
+      "  --queue-capacity N  admission queue bound, >= 1 (default 1024)\n"
       "  --recalibrate-ms MS background recalibration interval (0 = off)\n"
-      "  --slots N           cold-start calibration trace length (default 2016)\n"
+      "  --slots N           cold-start calibration trace length, >= 1 (default 2016)\n"
       "  --seed S            cold-start calibration seed (default 2015)\n"
-      "  --server-mode M     'epoll' (sharded event loop, default) or\n"
-      "                      'threaded' (two threads per connection)\n"
-      "  --shards N          epoll I/O shard threads (0 = hardware default)\n");
+      "  --shards N          epoll I/O shard threads, 0..1024 (0 = hardware default)\n"
+      "  --help              print this text and exit 2\n");
   return 2;
 }
 
@@ -163,20 +218,15 @@ std::shared_ptr<serve::ModelSnapshot> calibrate(const std::string& key, int slot
 
 int main(int argc, char** argv) {
   const Args args{argc, argv};
-  if (!args.ok() || args.has("help")) return usage();
-  const std::string server_mode = args.get("server-mode", "epoll");
-  if (server_mode != "epoll" && server_mode != "threaded") {
-    std::fprintf(stderr, "spotbidd: unknown --server-mode '%s'\n", server_mode.c_str());
-    return usage();
-  }
+  if (!args.ok() || args.help()) return usage();
   raise_nofile_limit();
 
   std::vector<std::string> keys = split_keys(args.get("keys"));
   std::sort(keys.begin(), keys.end());
   const std::string snapshot_dir = args.get("snapshot-dir");
-  const int slots = static_cast<int>(args.number("slots", 12 * 24 * 7));
-  const auto seed = static_cast<std::uint64_t>(args.number("seed", 2015));
-  const long recalibrate_ms = args.number("recalibrate-ms", 0);
+  const auto slots = static_cast<int>(args.number("slots"));
+  const auto seed = static_cast<std::uint64_t>(args.number("seed"));
+  const std::int64_t recalibrate_ms = args.number("recalibrate-ms");
 
   serve::SnapshotStore store;
   try {
@@ -205,40 +255,29 @@ int main(int argc, char** argv) {
   }
 
   serve::ServiceConfig service_config;
-  service_config.workers = static_cast<int>(args.number("workers", 0));
-  service_config.queue_capacity =
-      static_cast<std::size_t>(args.number("queue-capacity", 1024));
+  service_config.workers = static_cast<int>(args.number("workers"));
+  service_config.queue_capacity = static_cast<std::size_t>(args.number("queue-capacity"));
   serve::BidService service{store, service_config};
 
-  const std::string host = args.get("host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(args.number("port", 0));
-  std::unique_ptr<net::Server> threaded_server;
-  std::unique_ptr<net::EpollServer> epoll_server;
-  std::uint16_t bound_port = 0;
-  if (server_mode == "threaded") {
-    net::ServerConfig server_config;
-    server_config.host = host;
-    server_config.port = port;
-    threaded_server = std::make_unique<net::Server>(service, server_config);
-    threaded_server->start();
-    bound_port = threaded_server->port();
-    std::fprintf(stderr,
-                 "spotbidd: listening on %s:%u (%zu key(s), %d worker(s), threaded)\n",
-                 host.c_str(), unsigned{bound_port}, store.size(), service.workers());
-  } else {
-    net::EpollServerConfig server_config;
-    server_config.host = host;
-    server_config.port = port;
-    server_config.shards = static_cast<int>(args.number("shards", 0));
-    epoll_server = std::make_unique<net::EpollServer>(service, server_config);
-    epoll_server->start();
-    bound_port = epoll_server->port();
-    std::fprintf(stderr,
-                 "spotbidd: listening on %s:%u (%zu key(s), %d worker(s), "
-                 "%d epoll shard(s))\n",
-                 host.c_str(), unsigned{bound_port}, store.size(), service.workers(),
-                 epoll_server->shards());
+  net::EpollServerConfig server_config;
+  server_config.host = args.get("host", "127.0.0.1");
+  server_config.port = static_cast<std::uint16_t>(args.number("port"));
+  server_config.shards = static_cast<int>(args.number("shards"));
+  std::unique_ptr<net::EpollServer> server;
+  try {
+    // A host that is not an IPv4 address or a port in use fails here.
+    server = std::make_unique<net::EpollServer>(service, server_config);
+    server->start();
+  } catch (const net::SocketError& e) {
+    std::fprintf(stderr, "spotbidd: cannot listen: %s\n", e.what());
+    return 1;
   }
+  const std::uint16_t bound_port = server->port();
+  std::fprintf(stderr,
+               "spotbidd: listening on %s:%u (%zu key(s), %d worker(s), "
+               "%d epoll shard(s))\n",
+               server_config.host.c_str(), unsigned{bound_port}, store.size(),
+               service.workers(), server->shards());
 
   // The port file is the readiness signal: written only once listening.
   if (args.has("port-file")) {
@@ -278,8 +317,7 @@ int main(int argc, char** argv) {
   recalibrator.stop();
   // Server first (drains wire replies while service workers still run),
   // then service.
-  if (threaded_server != nullptr) threaded_server->stop();
-  if (epoll_server != nullptr) epoll_server->stop();
+  server->stop();
   service.stop();
   if (!snapshot_dir.empty()) {
     try {
