@@ -21,60 +21,13 @@
 #include <thread>
 #include <vector>
 
-#include "spotbid/ec2/instance_types.hpp"
+#include "net_test_support.hpp"
 #include "spotbid/net/client.hpp"
 #include "spotbid/net/wire.hpp"
 #include "spotbid/serve/engine.hpp"
-#include "spotbid/trace/generator.hpp"
 
 namespace spotbid::net {
 namespace {
-
-const ec2::InstanceType& r3() {
-  static const ec2::InstanceType type = ec2::require_type("r3.xlarge");
-  return type;
-}
-
-serve::SnapshotStore& test_store() {
-  static serve::SnapshotStore store;
-  static const bool initialized = [] {
-    trace::GeneratorConfig config;
-    config.slots = 12 * 24 * 7;
-    const auto trace = trace::generate_for_type(r3(), config);
-    store.publish(serve::ModelSnapshot::from_trace("us-east-1/r3.xlarge", trace, r3()));
-    store.publish(serve::ModelSnapshot::from_type("eu-west-1/r3.xlarge", r3()));
-    return true;
-  }();
-  (void)initialized;
-  return store;
-}
-
-serve::Request base_request(serve::Kind kind) {
-  serve::Request q;
-  q.key = "us-east-1/r3.xlarge";
-  q.kind = kind;
-  q.mode = serve::BidMode::kPersistent;
-  q.bid = Money{0.25};
-  q.job = bidding::JobSpec{Hours{2.0}, Hours::from_seconds(30.0)};
-  q.demand = 0.7;
-  return q;
-}
-
-/// A served stack (store -> service -> epoll server) with live workers.
-struct EpollDaemon {
-  serve::BidService service;
-  EpollServer server;
-
-  explicit EpollDaemon(serve::ServiceConfig service_config = {},
-                       EpollServerConfig server_config = {})
-      : service(test_store(), service_config), server(service, server_config) {
-    server.start();
-  }
-  ~EpollDaemon() {
-    server.stop();
-    service.stop();
-  }
-};
 
 TEST(EpollServer, EveryKindIsBitIdenticalToTheEngine) {
   EpollDaemon daemon;
@@ -132,14 +85,6 @@ std::string wire_error_text(Decode decode) {
   }
   ADD_FAILURE() << "the decoder accepted bytes the server must reject";
   return {};
-}
-
-serve::Request portfolio_request() {
-  serve::Request q = base_request(serve::Kind::kPortfolioBid);
-  q.deadline = Hours{8.0};
-  q.epsilon = 0.05;
-  q.levels = 4;
-  return q;
 }
 
 /// A version-0 HELLO, hand-built: encode_hello refuses to make one.
@@ -231,18 +176,6 @@ TEST(EpollServer, CrossVersionScriptMatchesExpectedFramesBitForBit) {
                                     std::to_string(int{kProtocolVersion})));
 
   EXPECT_EQ(reply_bytes(daemon.server.port(), script), expected);
-}
-
-/// Read one whole frame (length prefix + payload) off a raw stream.
-/// Callers must keep the returned vector alive while using the Frame a
-/// decode of it yields — Frame::body aliases these bytes.
-std::vector<std::uint8_t> read_frame(TcpStream& stream) {
-  std::uint8_t prefix[4];
-  EXPECT_TRUE(stream.read_exact(prefix));
-  std::vector<std::uint8_t> payload(
-      decode_frame_length(std::span<const std::uint8_t, 4>{prefix}));
-  EXPECT_TRUE(stream.read_exact(payload));
-  return payload;
 }
 
 TEST(EpollServer, V1ClientKeepsReceivingByteIdenticalV1Frames) {
